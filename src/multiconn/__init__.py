@@ -17,9 +17,8 @@ from .gains_dmt import (DmtPoint, GainQuery, dmt, dmt_empirical,
                         gain_slope_wrt_outage, gain_slope_wrt_rate,
                         required_total_snr, snr_gain_jd_vs, snr_gain_mco_sco,
                         snr_gain_mco_sco_approx)
-from .link_model import (Link, SnrSampleBlock, Topology, average_snrs,
-                         db_to_linear, equal_power_topology, linear_to_db,
-                         sample_snr_block)
+from .link_model import (Link, Topology, average_snrs, db_to_linear,
+                         equal_power_topology, iter_snr_chunks, linear_to_db)
 from .outage import (OutageEstimate, instantaneous_capacity, outage_asymptotic,
                      outage_exact_closed, outage_jd_lower_bound_tse,
                      outage_jd_quadrature, outage_monte_carlo)
@@ -41,8 +40,8 @@ __all__ = [
     "DmtPoint", "GainQuery", "dmt", "dmt_empirical", "gain_slope_wrt_outage",
     "gain_slope_wrt_rate", "required_total_snr", "snr_gain_jd_vs",
     "snr_gain_mco_sco", "snr_gain_mco_sco_approx",
-    "Link", "SnrSampleBlock", "Topology", "average_snrs", "db_to_linear",
-    "equal_power_topology", "linear_to_db", "sample_snr_block",
+    "Link", "Topology", "average_snrs", "db_to_linear",
+    "equal_power_topology", "iter_snr_chunks", "linear_to_db",
     "OutageEstimate", "instantaneous_capacity", "outage_asymptotic",
     "outage_exact_closed", "outage_jd_lower_bound_tse",
     "outage_jd_quadrature", "outage_monte_carlo",

@@ -169,17 +169,36 @@ _PRESETS = {
 }
 
 
-def _preset(name, expected_command):
-    if name is None:
-        return None
-    if name not in _PRESETS:
-        raise DomainError(f"unknown preset {name!r}; choose from "
-                          f"{sorted(_PRESETS)}")
-    preset = _PRESETS[name]
-    if preset["command"] != expected_command:
-        raise DomainError(f"preset {name!r} belongs to the "
-                          f"'{preset['command']}' subcommand")
-    return preset
+# Per-subcommand defaults for options the user left out; a preset's values
+# take precedence over these.
+_DEFAULTS = {
+    "outage": dict(n_links=(2,), combiners=("jd",), methods=("asymptotic",),
+                   rate=1.0, snr_db_range="0:40:21", mc_samples=1_000_000,
+                   seed=0),
+    "throughput": dict(n_links=(2,), combiners=("jd",),
+                       methods=("asymptotic",), p_out=1e-3,
+                       snr_db_range="10:60:26", bandwidth_hz=20e6),
+    "gain": dict(kinds=("mco-sco",), n_links=(2,), p_outs=(1e-3,),
+                 rate_range="0.5:25:50"),
+    "cdf": dict(n_links=(2,), combiners=("jd",), seed=0,
+                synth_measurements=1000, synth_bs=16, bandwidth_hz=20e6),
+}
+
+
+def _settings(command, name, **given) -> list:
+    """The given option values in order, each left-out one (None or an
+    empty multiple option) taken from the preset, else from the defaults."""
+    base = dict(_DEFAULTS[command])
+    if name is not None:
+        if name not in _PRESETS:
+            raise DomainError(f"unknown preset {name!r}; choose from "
+                              f"{sorted(_PRESETS)}")
+        if _PRESETS[name]["command"] != command:
+            raise DomainError(f"preset {name!r} belongs to the "
+                              f"'{_PRESETS[name]['command']}' subcommand")
+        base.update(_PRESETS[name])
+    return [base.get(key) if value is None or value == () else value
+            for key, value in given.items()]
 
 
 @click.group()
@@ -209,24 +228,13 @@ def cli():
 def outage_cmd(preset, n_links, rate, combiners, methods, snr_db_range,
                distances, eta, mc_samples, seed, bandwidth_hz, out, gnuplot):
     """Sweep outage probability over total transmit SNR."""
-    cfg = _preset(preset, "outage")
-    if cfg:
-        plan = cfg["plan"]
-        rate = rate if rate is not None else cfg["rate"]
-        snr_db_range = snr_db_range or cfg["snr_db_range"]
-        mc_samples = mc_samples if mc_samples is not None else cfg["mc_samples"]
-        seed = seed if seed is not None else cfg["seed"]
-        n_links = n_links or cfg["n_links"]
-    else:
-        n_links = n_links or (2,)
-        combiners = combiners or ("jd",)
-        methods = methods or ("asymptotic",)
-        plan = _normalize_plan(combiners, n_links, methods, _OUTAGE_METHODS,
-                               _check_outage_combo)
-        rate = rate if rate is not None else 1.0
-        snr_db_range = snr_db_range or "0:40:21"
-        mc_samples = mc_samples if mc_samples is not None else 1_000_000
-        seed = seed if seed is not None else 0
+    (plan, n_links, combiners, methods, rate, snr_db_range, mc_samples,
+     seed) = _settings("outage", preset, plan=None, n_links=n_links,
+                       combiners=combiners, methods=methods, rate=rate,
+                       snr_db_range=snr_db_range, mc_samples=mc_samples,
+                       seed=seed)
+    plan = plan or _normalize_plan(combiners, n_links, methods,
+                                   _OUTAGE_METHODS, _check_outage_combo)
     if rate < 0:
         raise DomainError("--rate must be nonnegative")
     grid = _parse_range(snr_db_range)
@@ -301,21 +309,13 @@ def outage_cmd(preset, n_links, rate, combiners, methods, snr_db_range,
 def throughput_cmd(preset, n_links, p_out, combiners, methods, snr_db_range,
                    distances, eta, seed, bandwidth_hz, out, gnuplot):
     """Sweep throughput at a target outage over total transmit SNR."""
-    cfg = _preset(preset, "throughput")
-    if cfg:
-        plan = cfg["plan"]
-        p_out = p_out if p_out is not None else cfg["p_out"]
-        snr_db_range = snr_db_range or cfg["snr_db_range"]
-        bandwidth_hz = bandwidth_hz if bandwidth_hz is not None else cfg["bandwidth_hz"]
-    else:
-        n_links = n_links or (2,)
-        combiners = combiners or ("jd",)
-        methods = methods or ("asymptotic",)
-        plan = _normalize_plan(combiners, n_links, methods,
-                               _THROUGHPUT_METHODS, _check_throughput_combo)
-        p_out = p_out if p_out is not None else 1e-3
-        snr_db_range = snr_db_range or "10:60:26"
-        bandwidth_hz = bandwidth_hz if bandwidth_hz is not None else 20e6
+    (plan, n_links, combiners, methods, p_out, snr_db_range,
+     bandwidth_hz) = _settings(
+        "throughput", preset, plan=None, n_links=n_links, combiners=combiners,
+        methods=methods, p_out=p_out, snr_db_range=snr_db_range,
+        bandwidth_hz=bandwidth_hz)
+    plan = plan or _normalize_plan(combiners, n_links, methods,
+                                   _THROUGHPUT_METHODS, _check_throughput_combo)
     if bandwidth_hz <= 0:
         raise DomainError("--bandwidth-hz must be positive")
     if not 0.0 < p_out < 1.0:
@@ -371,17 +371,9 @@ def throughput_cmd(preset, n_links, p_out, combiners, methods, snr_db_range,
 def gain_cmd(preset, kinds, n_links, p_outs, rate_range, distances, eta,
              out, gnuplot):
     """Sweep SNR gains (in dB) over spectral efficiency."""
-    cfg = _preset(preset, "gain")
-    if cfg:
-        kinds = kinds or cfg["kinds"]
-        n_links = n_links or cfg["n_links"]
-        p_outs = p_outs or cfg["p_outs"]
-        rate_range = rate_range or cfg["rate_range"]
-    else:
-        kinds = kinds or ("mco-sco",)
-        n_links = n_links or (2,)
-        p_outs = p_outs or (1e-3,)
-        rate_range = rate_range or "0.5:25:50"
+    kinds, n_links, p_outs, rate_range = _settings(
+        "gain", preset, kinds=kinds, n_links=n_links, p_outs=p_outs,
+        rate_range=rate_range)
     for p in p_outs:
         if not 0.0 < p < 1.0:
             raise DomainError("--outage values must lie in (0, 1)")
@@ -479,30 +471,18 @@ def dmt_cmd(combiners, n_links, steps, empirical, snr_db_range, out):
               help="Spectral efficiency for outage CDFs.")
 @click.option("--outage", "p_out", type=float, default=None,
               help="Target outage for throughput CDFs.")
-@click.option("--bandwidth-hz", type=float, default=20e6)
+@click.option("--bandwidth-hz", type=float, default=None)
 @click.option("--out", default=None,
               help="Output path prefix; one CSV per (combiner, N).")
 def cdf_cmd(preset, trace_path, synth_measurements, synth_bs, seed, n_links,
             combiners, rate, p_out, bandwidth_hz, out):
     """Empirical outage or throughput CDFs from a measured or synthetic
     trace."""
-    cfg = _preset(preset, "cdf")
-    if cfg:
-        n_links = n_links or cfg["n_links"]
-        combiners = combiners or cfg["combiners"]
-        seed = seed if seed is not None else cfg["seed"]
-        synth_measurements = synth_measurements or cfg["synth_measurements"]
-        synth_bs = synth_bs or cfg["synth_bs"]
-        if cfg["metric"] == "outage":
-            rate = rate if rate is not None else cfg["rate"]
-        else:
-            p_out = p_out if p_out is not None else cfg["p_out"]
-            bandwidth_hz = cfg.get("bandwidth_hz", bandwidth_hz)
-    else:
-        n_links = n_links or (2,)
-        combiners = combiners or ("jd",)
-        seed = seed if seed is not None else 0
-
+    (synth_measurements, synth_bs, seed, n_links, combiners, rate, p_out,
+     bandwidth_hz) = _settings(
+        "cdf", preset, synth_measurements=synth_measurements,
+        synth_bs=synth_bs, seed=seed, n_links=n_links, combiners=combiners,
+        rate=rate, p_out=p_out, bandwidth_hz=bandwidth_hz)
     if (rate is None) == (p_out is None):
         raise DomainError("pass exactly one of --rate (outage CDF) or "
                           "--outage (throughput CDF)")
@@ -510,8 +490,8 @@ def cdf_cmd(preset, trace_path, synth_measurements, synth_bs, seed, n_links,
     if trace_path:
         trace = field_trial.load_trace(trace_path)
     else:
-        trace = field_trial.synthesize_trace(synth_measurements or 1000,
-                                             synth_bs or 16, seed=seed)
+        trace = field_trial.synthesize_trace(synth_measurements, synth_bs,
+                                             seed=seed)
 
     metric = "outage" if p_out is None else "throughput"
     for name in combiners:
@@ -556,11 +536,7 @@ def synth_trace_cmd(measurements, n_bs, seed, mean_db, bs_spread_db,
     trace = field_trial.synthesize_trace(measurements, n_bs,
                                          snr_model_params=params, seed=seed)
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(field_trial.TRACE_HEADER)
-    for rec in trace.records:
-        writer.writerow([rec.measurement_id, rec.bs_id,
-                         repr(rec.avg_snr_db)])
+    field_trial.write_trace(trace, buf)
     _emit(buf.getvalue(), out)
 
 

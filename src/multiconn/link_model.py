@@ -66,14 +66,6 @@ class Topology:
         return len(self.links)
 
 
-@dataclass(frozen=True)
-class SnrSampleBlock:
-    """Matrix of instantaneous linear SNRs, shape (count, n_links)."""
-
-    samples: np.ndarray
-    seed: int
-
-
 def equal_power_topology(total_power_ratio: float,
                          distances: Sequence[float],
                          eta: float,
@@ -129,9 +121,3 @@ def iter_snr_chunks(topology: Topology, count: int,
         yield -means * np.log1p(-u)
         produced += rows
         chunk_index += 1
-
-
-def sample_snr_block(topology: Topology, count: int, seed: int) -> SnrSampleBlock:
-    """Draw i.i.d. exponential instantaneous SNRs with per-link means."""
-    samples = np.vstack(list(iter_snr_chunks(topology, count, seed)))
-    return SnrSampleBlock(samples=samples, seed=seed)

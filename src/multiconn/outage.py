@@ -70,13 +70,7 @@ def instantaneous_capacity(combiner, gammas: Sequence[float]) -> float:
         raise DomainError("gammas must be nonempty")
     if np.any(g < 0):
         raise DomainError("instantaneous SNRs must be nonnegative")
-    if combiner is Combiner.SC:
-        return float(np.log2(1.0 + g.max()))
-    if combiner is Combiner.MRC:
-        return float(np.log2(1.0 + g.sum()))
-    if combiner is Combiner.JD:
-        return float(np.log2(1.0 + g).sum())
-    return float(np.log2(1.0 + g[0]))
+    return float(_capacity_rows(combiner, g.reshape(1, -1))[0])
 
 
 def _capacity_rows(combiner: Combiner, block: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import pytest
 
 from multiconn import cli
 from multiconn import outage as outage_mod
-from multiconn.field_trial import load_trace
+from multiconn.field_trial import load_trace, save_trace, synthesize_trace
 from multiconn.selftest import run_selftest
 
 
@@ -89,6 +89,9 @@ class TestValidationExits:
         ("dmt", "--steps", "1"),
         ("cdf",),
         ("cdf", "--rate", "1", "--outage", "1e-3"),
+        ("cdf", "--rate", "1", "--synth-measurements", "0"),
+        ("cdf", "--preset", "fig5c", "--synth-bs", "0"),
+        ("outage", "--snr-db-range", ""),
     ])
     def test_exit_code_2(self, capsys, argv):
         assert cli.main(list(argv)) == 2
@@ -96,6 +99,14 @@ class TestValidationExits:
     def test_missing_trace_is_io_error(self, capsys):
         assert cli.main(["cdf", "--trace", "/nonexistent/trace.csv",
                          "--rate", "1"]) == 4
+
+    @pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
+    def test_non_finite_snr_is_io_error(self, tmp_path, capsys, snr):
+        path = tmp_path / "trace.csv"
+        path.write_text("measurement_id,bs_id,avg_snr_db\n"
+                        f"0,BS00,20.0\n0,BS01,{snr}\n")
+        assert cli.main(["cdf", "--trace", str(path), "--rate", "1"]) == 4
+        assert f"{path}:3: non-finite" in capsys.readouterr().err
 
 
 class TestThroughputCommand:
@@ -180,6 +191,16 @@ class TestCdfCommand:
         assert names == ["run_outage_mrc_n2.csv", "run_outage_mrc_n3.csv",
                          "run_outage_sc_n2.csv", "run_outage_sc_n3.csv"]
 
+    def test_preset_honours_bandwidth(self, capsys):
+        argv = ("cdf", "--preset", "fig5d", "--combiner", "sco",
+                "--synth-measurements", "20")
+        _, wide = _run(capsys, *argv)
+        _, narrow = _run(capsys, *argv, "--bandwidth-hz", "1e6")
+        # Line 0 is the section marker, line 1 the CSV header.
+        first = [float(out.splitlines()[2].split(",")[0])
+                 for out in (wide, narrow)]
+        assert first[1] == pytest.approx(first[0] / 20)
+
     def test_single_link_baseline_collapses_to_n1(self, tmp_path, capsys):
         prefix = tmp_path / "run"
         code, _ = _run(capsys, "cdf", "--synth-measurements", "20",
@@ -204,6 +225,21 @@ class TestSynthTraceCommand:
             assert cli.main(["synth-trace", "--measurements", "10", "--bs",
                              "4", "--seed", "3", "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_stdout_and_save_trace_match_out_file(self, tmp_path, capsys):
+        argv = ["synth-trace", "--measurements", "6", "--bs", "3",
+                "--seed", "4"]
+        path = tmp_path / "cli.csv"
+        code, _ = _run(capsys, *argv, "--out", str(path))
+        assert code == 0
+        assert path.read_bytes().startswith(
+            b"measurement_id,bs_id,avg_snr_db\n0,BS00,")
+        assert b"\r" not in path.read_bytes()
+        code, stdout = _run(capsys, *argv)
+        assert stdout.encode() == path.read_bytes()
+        saved = tmp_path / "saved.csv"
+        save_trace(synthesize_trace(6, 3, seed=4), saved)
+        assert saved.read_bytes() == path.read_bytes()
 
 
 class TestSelftest:

@@ -6,8 +6,11 @@ from scipy import stats
 from multiconn.exceptions import DomainError
 from multiconn.link_model import (CHUNK_SIZE, Link, Topology, average_snrs,
                                   db_to_linear, equal_power_topology,
-                                  iter_snr_chunks, linear_to_db,
-                                  sample_snr_block)
+                                  iter_snr_chunks, linear_to_db)
+
+
+def _sample(topology, count, seed):
+    return np.vstack(list(iter_snr_chunks(topology, count, seed)))
 
 
 def _topology(means, bandwidth=20e6):
@@ -68,18 +71,18 @@ class TestDbConversion:
 class TestSampler:
     def test_deterministic_for_fixed_seed(self):
         topo = _topology([4.0, 9.0])
-        a = sample_snr_block(topo, 5000, seed=11).samples
-        b = sample_snr_block(topo, 5000, seed=11).samples
+        a = _sample(topo, 5000, seed=11)
+        b = _sample(topo, 5000, seed=11)
         assert np.array_equal(a, b)
-        c = sample_snr_block(topo, 5000, seed=12).samples
+        c = _sample(topo, 5000, seed=12)
         assert not np.array_equal(a, c)
 
     def test_prefix_stability(self):
         # Chunk i depends only on (seed, i), so a longer run reproduces a
         # shorter one as its prefix.
         topo = _topology([4.0, 9.0])
-        short = sample_snr_block(topo, CHUNK_SIZE, seed=3).samples
-        long = sample_snr_block(topo, CHUNK_SIZE + 5000, seed=3).samples
+        short = _sample(topo, CHUNK_SIZE, seed=3)
+        long = _sample(topo, CHUNK_SIZE + 5000, seed=3)
         assert np.array_equal(long[:CHUNK_SIZE], short)
 
     def test_chunk_sizes(self):
@@ -89,20 +92,20 @@ class TestSampler:
 
     def test_samples_nonnegative_with_correct_means(self):
         topo = _topology([2.0, 16.0])
-        block = sample_snr_block(topo, 1_000_000, seed=5).samples
+        block = _sample(topo, 1_000_000, seed=5)
         assert block.min() >= 0.0
         assert block[:, 0].mean() == pytest.approx(2.0, rel=0.01)
         assert block[:, 1].mean() == pytest.approx(16.0, rel=0.01)
 
     def test_marginal_is_exponential(self):
         topo = _topology([3.0])
-        block = sample_snr_block(topo, 100_000, seed=9).samples[:, 0]
+        block = _sample(topo, 100_000, seed=9)[:, 0]
         _, p_value = stats.kstest(block, "expon", args=(0.0, 3.0))
         assert p_value > 0.01
 
     def test_links_uncorrelated(self):
         topo = _topology([5.0, 5.0])
-        block = sample_snr_block(topo, 1_000_000, seed=17).samples
+        block = _sample(topo, 1_000_000, seed=17)
         corr = np.corrcoef(block[:, 0], block[:, 1])[0, 1]
         assert abs(corr) < 0.01
 
