@@ -8,7 +8,12 @@ many workers produced the chunks.
 
 from __future__ import annotations
 
+import collections
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -19,6 +24,33 @@ from .exceptions import DomainError
 CHUNK_SIZE = 1 << 16
 
 _U64_MASK = (1 << 64) - 1
+
+# Threads that draw sampler chunks for iter_snr_chunks. The executor starts
+# a thread only when a task finds none idle, so a call runs on at most
+# min(CPUs, chunks) of them.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()) or 1
+_POOL: ThreadPoolExecutor
+
+
+def _new_pool() -> None:
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=_WORKERS,
+                               thread_name_prefix="multiconn-sampler")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    # A forked child inherits the executor but none of its threads.
+    os.register_at_fork(after_in_child=_new_pool)
+
+
+def _require_count(name: str, value: int, minimum: int) -> None:
+    # bool is an Integral too, but True is no sample count.
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -35,8 +67,12 @@ class Link:
 
     def __post_init__(self):
         for name in ("power_ratio", "distance", "path_loss_exponent"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"Link.{name} must be positive")
+            value = getattr(self, name)
+            # False for nan and inf as well as for values <= 0; kept inline
+            # because sweeps build a Link per point and link.
+            if not 0 < value < math.inf:
+                raise DomainError(
+                    f"Link.{name} must be finite and positive, got {value}")
 
     @property
     def average_snr(self) -> float:
@@ -58,8 +94,9 @@ class Topology:
         object.__setattr__(self, "links", tuple(self.links))
         if len(self.links) < 1:
             raise DomainError("Topology needs at least one link")
-        if self.bandwidth <= 0:
-            raise DomainError("Topology.bandwidth must be positive")
+        if not 0 < self.bandwidth < math.inf:
+            raise DomainError("Topology.bandwidth must be finite and positive, "
+                              f"got {self.bandwidth}")
 
     @property
     def n_links(self) -> int:
@@ -86,7 +123,10 @@ def average_snrs(topology: Topology) -> np.ndarray:
 
 
 def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        raise DomainError(f"{x_db} dB overflows the linear scale") from None
 
 
 def linear_to_db(x: float) -> float:
@@ -100,24 +140,40 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _snr_chunk(means: np.ndarray, seed: int, chunk_index: int,
+               out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, a C-order (rows, N) float64 array, with chunk
+    ``chunk_index`` of the sample block and return it.
+
+    The chunk is -means * log1p(-u) on the Philox draws u keyed by
+    (seed, chunk_index), bit for bit, computed in ``out`` itself.
+    """
+    # random() is uniform on [0, 1); 1-u lies in (0, 1] so the log stays
+    # finite and samples stay nonnegative.
+    u = _chunk_generator(seed, chunk_index).random(out=out)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.multiply(u, -means, out=u)
+
+
 def iter_snr_chunks(topology: Topology, count: int,
                     seed: int) -> Iterator[np.ndarray]:
     """Yield sample chunks of at most CHUNK_SIZE rows each.
 
     Chunk ``i`` depends only on (seed, i), so chunks may be generated in any
-    order or concurrently without changing the assembled block.
+    order or concurrently without changing the assembled block. They are
+    drawn on a thread pool, one chunk per worker ahead of the consumer, and
+    yielded in order.
     """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    _require_count("count", count, 1)
     means = average_snrs(topology)
-    produced = 0
-    chunk_index = 0
-    while produced < count:
-        rows = min(CHUNK_SIZE, count - produced)
-        rng = _chunk_generator(seed, chunk_index)
-        # random() is uniform on [0, 1); 1-u lies in (0, 1] so the log stays
-        # finite and samples stay nonnegative.
-        u = rng.random((rows, len(means)))
-        yield -means * np.log1p(-u)
-        produced += rows
-        chunk_index += 1
+    ahead = collections.deque()
+    for chunk_index, start in enumerate(range(0, count, CHUNK_SIZE)):
+        # Allocated here and only filled on a worker, so the samples live
+        # in the caller's malloc arena rather than in one per worker.
+        out = np.empty((min(CHUNK_SIZE, count - start), len(means)))
+        ahead.append(_POOL.submit(_snr_chunk, means, seed, chunk_index, out))
+        if len(ahead) > _WORKERS:
+            yield ahead.popleft().result()
+    while ahead:
+        yield ahead.popleft().result()

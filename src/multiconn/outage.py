@@ -19,7 +19,7 @@ from scipy.integrate import quad
 from .combiners import Combiner
 from .exceptions import (DegenerateSpacingError, DomainError, QuadratureError,
                          UnsupportedLinkCountError)
-from .link_model import Topology, average_snrs, iter_snr_chunks
+from .link_model import Topology, _require_count, iter_snr_chunks
 from .special_functions import coding_constant
 
 #: Largest link count served by nested quadrature.
@@ -65,7 +65,7 @@ def instantaneous_capacity(combiner, gammas: Sequence[float]) -> float:
     SCo: log2(1 + g_1).
     """
     combiner = Combiner.parse(combiner)
-    g = np.asarray(gammas, dtype=float)
+    g = np.array(gammas, dtype=float)
     if g.size == 0:
         raise DomainError("gammas must be nonempty")
     if np.any(g < 0):
@@ -74,13 +74,23 @@ def instantaneous_capacity(combiner, gammas: Sequence[float]) -> float:
 
 
 def _capacity_rows(combiner: Combiner, block: np.ndarray) -> np.ndarray:
-    if combiner is Combiner.SC:
-        return np.log2(1.0 + block.max(axis=1))
-    if combiner is Combiner.MRC:
-        return np.log2(1.0 + block.sum(axis=1))
+    """Capacity of each row of an (rows, N) SNR block, which it may
+    overwrite. The bits equal the row formulas of
+    ``instantaneous_capacity`` taken with numpy's ``axis=1`` reductions.
+
+    SC folds the columns with np.maximum: the same values as
+    ``max(axis=1)``, without reducing along each short row.
+    """
     if combiner is Combiner.JD:
-        return np.log2(1.0 + block).sum(axis=1)
-    return np.log2(1.0 + block[:, 0])
+        return np.log2(np.add(block, 1.0, out=block), out=block).sum(axis=1)
+    if combiner is Combiner.MRC:
+        rows = block.sum(axis=1)
+    else:
+        rows = block[:, 0].copy()
+        if combiner is Combiner.SC:
+            for j in range(1, block.shape[1]):
+                np.maximum(rows, block[:, j], out=rows)
+    return np.log2(np.add(rows, 1.0, out=rows), out=rows)
 
 
 def outage_monte_carlo(combiner, topology: Topology, r_c: float,
@@ -89,15 +99,15 @@ def outage_monte_carlo(combiner, topology: Topology, r_c: float,
     """Estimate outage as the fraction of sampled SNR rows below rate r_c.
 
     Streams fixed-size chunks from the deterministic sampler, so the result
-    depends only on (topology, r_c, sample_count, seed). The confidence
-    half-width is the 95% normal approximation; estimates backed by fewer
-    than 100 outage events are flagged unreliable.
+    depends only on (topology, r_c, sample_count, seed), never on the
+    number of threads that draw the chunks. The confidence half-width is
+    the 95% normal approximation; estimates backed by fewer than 100 outage
+    events are flagged unreliable.
     """
     combiner = Combiner.parse(combiner)
-    if sample_count < _MIN_MC_SAMPLES:
-        raise DomainError(f"sample_count must be >= {_MIN_MC_SAMPLES}")
-    if r_c < 0:
-        raise DomainError("r_c must be nonnegative")
+    _require_count("sample_count", sample_count, _MIN_MC_SAMPLES)
+    if not (math.isfinite(r_c) and r_c >= 0):
+        raise DomainError(f"r_c must be finite and nonnegative, got {r_c}")
     events = 0
     for block in iter_snr_chunks(topology, sample_count, seed):
         events += int(np.count_nonzero(_capacity_rows(combiner, block) < r_c))

@@ -92,6 +92,11 @@ class TestValidationExits:
         ("cdf", "--rate", "1", "--synth-measurements", "0"),
         ("cdf", "--preset", "fig5c", "--synth-bs", "0"),
         ("outage", "--snr-db-range", ""),
+        ("outage", "--method", "mc", "--rate", "nan"),
+        ("outage", "--method", "mc", "--rate", "inf"),
+        ("outage", "--method", "mc", "--distances", "1,2", "--eta", "nan"),
+        ("outage", "--method", "mc", "--distances", "1,nan"),
+        ("outage", "--method", "mc", "--snr-db-range", "0:4000:3"),
     ])
     def test_exit_code_2(self, capsys, argv):
         assert cli.main(list(argv)) == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -30,11 +32,25 @@ class TestLinkAndTopology:
             with pytest.raises(DomainError):
                 Link(**bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["power_ratio", "distance",
+                                       "path_loss_exponent"])
+    def test_link_rejects_non_finite(self, field, bad):
+        values = dict(power_ratio=1.0, distance=1.0, path_loss_exponent=2.0)
+        values[field] = bad
+        with pytest.raises(DomainError):
+            Link(**values)
+
     def test_topology_validation(self):
         with pytest.raises(DomainError):
             Topology(links=(), bandwidth=1e6)
         with pytest.raises(DomainError):
             _topology([1.0], bandwidth=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_topology_rejects_non_finite_bandwidth(self, bad):
+        with pytest.raises(DomainError):
+            _topology([1.0], bandwidth=bad)
 
     def test_equal_power_split(self):
         topo = equal_power_topology(90.0, [1.0, 2.0, 3.0], eta=2.0,
@@ -66,6 +82,10 @@ class TestDbConversion:
     def test_domain(self):
         with pytest.raises(DomainError):
             linear_to_db(0.0)
+
+    def test_overflow_is_domain_error(self):
+        with pytest.raises(DomainError):
+            db_to_linear(4000.0)
 
 
 class TestSampler:
@@ -113,3 +133,23 @@ class TestSampler:
         topo = _topology([1.0])
         with pytest.raises(DomainError):
             list(iter_snr_chunks(topo, 0, seed=0))
+
+    @pytest.mark.parametrize("bad", [5000.0, True])
+    def test_count_must_be_an_integer(self, bad):
+        with pytest.raises(DomainError):
+            list(iter_snr_chunks(_topology([1.0]), bad, seed=0))
+
+    def test_chunks_are_the_transform_of_raw_philox_draws(self):
+        # The determinism contract: chunk i is -means * log1p(-u) on the
+        # uniform draws of Philox keyed by (seed, i).
+        topo = _topology([0.5, 4.0, 30.0])
+        means = average_snrs(topo)
+        seed = 2**64 + 77  # keyed modulo 2**64
+        chunks = list(iter_snr_chunks(topo, 2 * CHUNK_SIZE + 9, seed=seed))
+        for i, chunk in enumerate(chunks):
+            key = np.array([seed % 2**64, i], dtype=np.uint64)
+            u = np.random.Generator(np.random.Philox(key=key)).random(
+                (len(chunk), 3))
+            expected = -means * np.log1p(-u)
+            assert np.array_equal(chunk.view(np.int64),
+                                  expected.view(np.int64))

@@ -1,11 +1,19 @@
 import math
+import multiprocessing
+import os
+import queue
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
+from multiconn import link_model, outage
 from multiconn.combiners import Combiner
 from multiconn.exceptions import (DegenerateSpacingError, DomainError,
                                   UnsupportedLinkCountError)
-from multiconn.link_model import Link, Topology
+from multiconn.link_model import CHUNK_SIZE, Link, Topology, average_snrs
 from multiconn.outage import (OutageEstimate, asymptotic_outage_value,
                               instantaneous_capacity, outage_asymptotic,
                               outage_exact_closed, outage_jd_lower_bound_tse,
@@ -28,7 +36,82 @@ def _topology(means):
                     bandwidth=20e6)
 
 
+def _row_capacity(combiner, block):
+    # The per-row formulas as numpy axis=1 reductions: the reference the
+    # column-wise reduction must match bit for bit.
+    if combiner is Combiner.SC:
+        return np.log2(1.0 + block.max(axis=1))
+    if combiner is Combiner.MRC:
+        return np.log2(1.0 + block.sum(axis=1))
+    if combiner is Combiner.JD:
+        return np.log2(1.0 + block).sum(axis=1)
+    return np.log2(1.0 + block[:, 0])
+
+
+def _serial_events(combiner, topology, r_c, sample_count, seed):
+    # One chunk after another on the caller's thread: each chunk is
+    # -means * log1p(-u) on the Philox draws keyed by (seed, chunk).
+    combiner = Combiner.parse(combiner)
+    means = average_snrs(topology)
+    events = 0
+    for i, start in enumerate(range(0, sample_count, CHUNK_SIZE)):
+        key = np.array([seed % 2**64, i], dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).random(
+            (min(CHUNK_SIZE, sample_count - start), len(means)))
+        block = -means * np.log1p(-u)
+        events += int(np.count_nonzero(_row_capacity(combiner, block) < r_c))
+    return events
+
+
+def _events(est):
+    return round(est.value * est.sample_count)
+
+
+def _spread_topology(n):
+    return _topology([2.0 * 1.7 ** i for i in range(n)])
+
+
+def _estimate_into(results, *args):
+    results.put(outage_monte_carlo(*args).value)
+
+
+def _estimate_in_forked_child(args):
+    ctx = multiprocessing.get_context("fork")
+    results = ctx.Queue()
+    child = ctx.Process(target=_estimate_into, args=(results, *args))
+    child.start()
+    try:
+        got = results.get(timeout=30)
+        child.join(timeout=30)
+        assert not child.is_alive()
+    except queue.Empty:
+        pytest.fail("the forked child's estimate never finished")
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+    assert child.exitcode == 0
+    return got
+
+
 class TestInstantaneousCapacity:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_capacity_rows_bitwise_equal_row_formulas(self, n):
+        rng = np.random.default_rng(n)
+        block = rng.exponential(size=(3000, n)) * 10.0 ** rng.uniform(
+            -3.0, 4.0, size=(3000, n))
+        for combiner in Combiner:
+            expected = _row_capacity(combiner, block)
+            got = outage._capacity_rows(combiner, block.copy())
+            assert np.array_equal(got, expected)
+            assert np.array_equal(got.view(np.int64),
+                                  expected.view(np.int64))
+
+    def test_does_not_modify_caller_array(self):
+        g = np.array([3.0, 1.0])
+        assert instantaneous_capacity("jd", g) == pytest.approx(3.0)
+        assert g.tolist() == [3.0, 1.0]
+
     def test_formulas(self):
         g = [3.0, 1.0]
         assert instantaneous_capacity("sc", g) == pytest.approx(2.0)
@@ -75,6 +158,100 @@ class TestMonteCarlo:
             outage_monte_carlo("jd", topo, 1.0, sample_count=10)
         with pytest.raises(DomainError):
             outage_monte_carlo("jd", topo, -1.0)
+
+    @pytest.mark.parametrize("r_c", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, r_c):
+        with pytest.raises(DomainError):
+            outage_monte_carlo("sc", _topology([1.0]), r_c,
+                               sample_count=5000)
+
+    @pytest.mark.parametrize("count", [5000.0, True, "5000", None])
+    def test_non_integer_sample_count_rejected(self, count):
+        with pytest.raises(DomainError):
+            outage_monte_carlo("sc", _topology([1.0]), 1.0,
+                               sample_count=count)
+
+    def test_numpy_integer_sample_count(self):
+        topo = _topology([3.0, 4.0])
+        a = outage_monte_carlo("jd", topo, 1.0, sample_count=np.int64(5000))
+        b = outage_monte_carlo("jd", topo, 1.0, sample_count=5000)
+        assert a == b
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9])
+    @pytest.mark.parametrize("count", [1000, CHUNK_SIZE,
+                                       3 * CHUNK_SIZE + 17])
+    def test_counts_equal_serial_reference(self, n, count):
+        topo = _spread_topology(n)
+        for combiner in Combiner:
+            est = outage_monte_carlo(combiner, topo, 1.5, sample_count=count,
+                                     seed=40 + n)
+            assert _events(est) == _serial_events(combiner, topo, 1.5, count,
+                                                  seed=40 + n)
+
+    def test_one_worker_equals_default(self, monkeypatch):
+        topo = _spread_topology(3)
+        count = 5 * CHUNK_SIZE + 3
+        default = [outage_monte_carlo(c, topo, 2.0, sample_count=count,
+                                      seed=8) for c in Combiner]
+        with ThreadPoolExecutor(max_workers=1) as single:
+            monkeypatch.setattr(link_model, "_POOL", single)
+            one = [outage_monte_carlo(c, topo, 2.0, sample_count=count,
+                                      seed=8) for c in Combiner]
+            assert link_model._POOL is single
+        assert one == default
+
+    def test_concurrent_callers_share_the_pool(self):
+        # More calling threads than CPUs, with a short switch interval, all
+        # submitting chunks to one pool: each count must still equal its
+        # serial reference.
+        topo = _spread_topology(2)
+        count = 4 * CHUNK_SIZE
+        seeds = range(6)
+        expected = [_serial_events("mrc", topo, 2.0, count, s) for s in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(seeds)) as callers:
+                futures = [callers.submit(outage_monte_carlo, "mrc", topo,
+                                          2.0, count, s) for s in seeds]
+                got = [_events(f.result(timeout=60)) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_makes_its_own_pool(self):
+        # A forked child inherits the parent's executor without its
+        # threads; chunks handed to that executor would never run.
+        args = ("sc", _spread_topology(2), 2.0, 3 * CHUNK_SIZE, 4)
+        expected = outage_monte_carlo(*args).value
+        assert _estimate_in_forked_child(args) == expected
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_fork_while_another_thread_samples(self):
+        # The fork lands while a second thread is inside
+        # outage_monte_carlo, so the executor's locks and queue may be in
+        # use; the child must still finish its own estimate.
+        args = ("jd", _spread_topology(3), 2.0, 3 * CHUNK_SIZE, 5)
+        expected = outage_monte_carlo(*args).value
+        busy = _spread_topology(8)
+        inside = threading.Event()
+        stop = threading.Event()
+
+        def sample():
+            while not stop.is_set():
+                inside.set()
+                outage_monte_carlo("mrc", busy, 3.0, 20 * CHUNK_SIZE, 1)
+
+        worker = threading.Thread(target=sample)
+        worker.start()
+        try:
+            assert inside.wait(timeout=30)
+            got = _estimate_in_forked_child(args)
+        finally:
+            stop.set()
+            worker.join(timeout=60)
+        assert got == expected
 
 
 class TestJdQuadrature:
