@@ -235,8 +235,8 @@ def outage_cmd(preset, n_links, rate, combiners, methods, snr_db_range,
                        seed=seed)
     plan = plan or _normalize_plan(combiners, n_links, methods,
                                    _OUTAGE_METHODS, _check_outage_combo)
-    if rate < 0:
-        raise DomainError("--rate must be nonnegative")
+    if not 0 <= rate < math.inf:
+        raise DomainError(f"--rate must be finite and nonnegative, got {rate}")
     grid = _parse_range(snr_db_range)
     dist_map = _parse_distances(distances, {n for _, n, _ in plan})
 

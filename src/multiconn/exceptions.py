@@ -10,7 +10,7 @@ class ConvergenceError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature could not achieve the requested tolerance."""
+    """Quadrature could not achieve the requested tolerance."""
 
 
 class UnsupportedLinkCountError(ValueError):

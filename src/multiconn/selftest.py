@@ -10,26 +10,21 @@ from __future__ import annotations
 
 import math
 
-from scipy.integrate import quad
+import numpy as np
 
 from . import outage as outage_mod
 from .combiners import Combiner
 from .link_model import Topology, Link
-from .special_functions import coding_constant, coding_constant_inverse
+from .special_functions import LN2, coding_constant, coding_constant_inverse
 
 
 def _coding_constant_quadrature(n: int, r_c: float) -> float:
-    # Unit-weight nested integral with variable upper limits; the innermost
-    # level is available in closed form.
-    def level(i: int, remaining: float) -> float:
-        if i == n - 1:
-            return 2.0 ** remaining - 1.0
-        value, _ = quad(lambda g: level(i + 1, remaining - math.log2(1.0 + g)),
-                        0.0, 2.0 ** remaining - 1.0,
-                        epsabs=0.0, epsrel=1e-9, limit=200)
-        return value
-
-    return level(0, r_c)
+    # Unit-weight nested integral over the rate shares x_i = log2(1 + g_i),
+    # where dg = ln2 2^x dx; the innermost level is 2^r - 1 in closed form.
+    levels = [(lambda x: LN2 * np.exp2(x), math.inf)] * (n - 1)
+    value, _ = outage_mod._nested_integral(
+        levels, lambda r: np.expm1(r * LN2), r_c, 1e-9)
+    return value
 
 
 def _check(name: str, ok: bool, detail: str = "") -> bool:

@@ -66,15 +66,22 @@ def coding_constant(n: int, r_c: float) -> float:
     """
     if n < 1:
         raise DomainError(f"coding_constant requires n >= 1, got {n}")
-    if r_c < 0:
+    if not r_c >= 0:
         raise DomainError(f"coding_constant requires r_c >= 0, got {r_c}")
     if r_c == 0:
         return 0.0
-    if n == 1:
-        return math.expm1(r_c * LN2)
-    if r_c * LN2 < _TAIL_SWITCH_FACTOR * n:
-        return _coding_constant_tail(n, r_c)
-    return _coding_constant_direct(n, r_c)
+    try:
+        if n == 1:
+            value = math.expm1(r_c * LN2)
+        elif r_c * LN2 < _TAIL_SWITCH_FACTOR * n:
+            value = _coding_constant_tail(n, r_c)
+        else:
+            value = _coding_constant_direct(n, r_c)
+    except OverflowError:
+        value = math.inf
+    if not -math.inf < value < math.inf:
+        raise DomainError(f"A_{n}({r_c}) overflows a float")
+    return value
 
 
 def coding_constant_slope(n: int, r_c: float) -> float:

@@ -6,16 +6,17 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy.optimize import bisect
-
 from .combiners import Combiner
-from .exceptions import BracketError, DomainError
+from .exceptions import BracketError, ConvergenceError, DomainError
 from .link_model import Topology, average_snrs
 from .outage import outage_exact_closed, outage_jd_quadrature
 from .special_functions import coding_constant_inverse
 
 DEFAULT_RATE_BRACKET = (1e-6, 64.0)
+# Bisection stops once its step is below _RATE_XTOL + _RATE_RTOL * |mid|.
 _RATE_XTOL = 1e-6
+_RATE_RTOL = 4 * math.ulp(1.0)
+_MAX_BISECTIONS = 100
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,8 @@ def achievable_rate_exact(combiner, topology: Topology, p_out: float,
 
     Uses the closed forms for SC/MRC/SCo and nested quadrature for JD
     (N <= 4; larger N is refused rather than falling back to a noisy
-    Monte-Carlo objective).
+    Monte-Carlo objective). The midpoints and the returned root are those
+    of ``scipy.optimize.bisect`` with ``xtol=1e-6`` and its default rtol.
     """
     combiner = Combiner.parse(combiner)
     if not 0.0 < p_out < 1.0:
@@ -98,7 +100,19 @@ def achievable_rate_exact(combiner, topology: Topology, p_out: float,
         return lo
     if f_hi == 0:
         return hi
-    return float(bisect(lambda r: exact(r) - p_out, lo, hi, xtol=_RATE_XTOL))
+    # scipy.optimize.bisect's steps: lo moves up to each midpoint whose
+    # f has the sign of f(lo); stop on a zero or a step within tolerance.
+    step = hi - lo
+    for _ in range(_MAX_BISECTIONS):
+        step *= 0.5
+        mid = lo + step
+        f_mid = exact(mid) - p_out
+        if f_mid * f_lo >= 0:
+            lo = mid
+        if f_mid == 0 or abs(step) < _RATE_XTOL + _RATE_RTOL * abs(mid):
+            return mid
+    raise ConvergenceError(
+        f"rate bisection did not converge in {_MAX_BISECTIONS} steps")
 
 
 def throughput_asymptotic(combiner, avg_snrs: Sequence[float], p_out: float,

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +101,14 @@ class TestValidationExits:
         ("outage", "--method", "mc", "--distances", "1,2", "--eta", "nan"),
         ("outage", "--method", "mc", "--distances", "1,nan"),
         ("outage", "--method", "mc", "--snr-db-range", "0:4000:3"),
+        ("outage", "--method", "exact", "--rate", "nan"),
+        ("outage", "--method", "exact", "--rate", "inf"),
+        ("outage", "--method", "exact", "--combiner", "sc", "--rate", "nan"),
+        ("outage", "--method", "asymptotic", "--rate", "nan"),
+        ("outage", "--method", "asymptotic", "--rate", "inf"),
+        ("outage", "--method", "bound", "--rate", "nan"),
+        ("outage", "--method", "bound", "--combiner", "mrc", "--rate", "inf"),
+        ("gain", "--rate-range", "0.5:2000:3"),
     ])
     def test_exit_code_2(self, capsys, argv):
         assert cli.main(list(argv)) == 2
@@ -274,3 +286,24 @@ class TestSelftest:
             lambda combiner, avg_snrs, r_c: outage_mod.OutageEstimate(
                 value=1e-12, method="asymptotic"))
         assert cli.main(["selftest", "--mc-samples", "100000"]) == 3
+
+
+def test_runtime_needs_no_scipy():
+    # A fresh interpreter runs the exact JD routes and the selftest, then
+    # lists every scipy module that got imported.
+    script = """
+import sys
+from multiconn import cli
+assert cli.main(["outage", "--method", "exact", "--combiner", "jd",
+                 "--n-links", "3", "--snr-db-range", "0:10:2"]) == 0
+assert cli.main(["throughput", "--method", "exact", "--combiner", "jd",
+                 "--n-links", "2", "--snr-db-range", "10:12:2"]) == 0
+assert cli.main(["selftest", "--mc-samples", "100000"]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

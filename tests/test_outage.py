@@ -6,13 +6,15 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from multiconn import link_model, outage
 from multiconn.combiners import Combiner
 from multiconn.exceptions import (DegenerateSpacingError, DomainError,
-                                  UnsupportedLinkCountError)
+                                  QuadratureError, UnsupportedLinkCountError)
 from multiconn.link_model import CHUNK_SIZE, Link, Topology, average_snrs
 from multiconn.outage import (OutageEstimate, asymptotic_outage_value,
                               instantaneous_capacity, outage_asymptotic,
@@ -34,6 +36,84 @@ TSE_ORACLE_N2_G10_RC1 = 0.0016463480601457564
 def _topology(means):
     return Topology(links=tuple(Link(m, 1.0, 2.0) for m in means),
                     bandwidth=20e6)
+
+
+def _jd_mpmath(snrs, r_c):
+    # 20-digit nested quadrature over the rate shares x_i = log2(1 + g_i)
+    # on [0, remaining rate], split around each density's peak at
+    # log2(1 + G_i); the last link's CDF is closed form.
+    with mp.workdps(20):
+        ln2 = mp.log(2)
+        means = [mp.mpf(g) for g in snrs]
+
+        def level(i, rate):
+            mean = means[i]
+            if i == len(means) - 1:
+                return -mp.expm1(-mp.expm1(rate * ln2) / mean)
+            peak = mp.log(1 + mean, 2)
+            cuts = [peak + d for d in (-2, 2, 4, 6) if 0 < peak + d < rate]
+
+            def integrand(x):
+                density = ln2 / mean * mp.exp(x * ln2
+                                              - mp.expm1(x * ln2) / mean)
+                return density * level(i + 1, rate - x)
+
+            return mp.quad(integrand, [mp.mpf(0)] + cuts + [rate],
+                           method="gauss-legendre")
+
+        return float(level(0, mp.mpf(r_c)))
+
+
+def _jd_nested_quad(snrs, r_c, rel_tol):
+    # Adaptive nested quadrature over the SNRs, the route that computed
+    # exact JD outage before the Gauss-Legendre engine.
+    n = len(snrs)
+
+    def level(i, remaining_rate):
+        if i == n - 1:
+            return -math.expm1(-(2.0 ** remaining_rate - 1.0) / snrs[i])
+        mean = snrs[i]
+
+        def integrand(g):
+            inner = level(i + 1, remaining_rate - math.log2(1.0 + g))
+            return math.exp(-g / mean) / mean * inner
+
+        upper = min(2.0 ** remaining_rate - 1.0, 700.0 * mean)
+        value, _ = quad(integrand, 0.0, upper, epsabs=0.0,
+                        epsrel=rel_tol / n, limit=200)
+        return value
+
+    return level(0, r_c)
+
+
+def _mrc_mpmath(snrs, threshold):
+    # Pr[sum of exponentials <= threshold]: absorption of the pure-birth
+    # chain through one stage per link, by a 50-digit matrix exponential.
+    with mp.workdps(50):
+        n = len(snrs)
+        rates = mp.zeros(n + 1, n + 1)
+        for i, mean in enumerate(snrs):
+            rates[i, i] = -1 / mp.mpf(mean)
+            rates[i, i + 1] = 1 / mp.mpf(mean)
+        return float(mp.expm(rates * threshold)[0, n])
+
+
+def _means(n, snr_db, spacing):
+    # Per-link means summing to about the total SNR: equal, with relative
+    # gaps of ``spacing``, or spread over a factor of up to 4.
+    mean = 10.0 ** (snr_db / 10.0) / n
+    if spacing == "distinct":
+        return [mean * (0.5 + 0.75 * j) for j in range(n)]
+    return [mean * (1.0 + j * spacing) for j in range(n)]
+
+
+_SPACINGS = [0.0, 1e-8, 1e-6, 1e-4, "distinct"]
+JD_MPMATH_CASES = (
+    [(2, db, spacing, r_c) for db in (-5, 10, 30, 60)
+     for spacing in _SPACINGS for r_c in (0.5, 4.0, 16.0)]
+    + [(3, -5, 1e-8, 0.5), (3, 0, "distinct", 2.0), (3, 10, 0.0, 4.0),
+       (3, 20, 1e-4, 2.0), (3, 30, "distinct", 0.5),
+       (3, 40, 1e-6, 8.0), (3, 50, 0.0, 16.0), (3, 60, "distinct", 1.0)])
 
 
 def _row_capacity(combiner, block):
@@ -133,6 +213,13 @@ class TestInstantaneousCapacity:
             instantaneous_capacity("jd", [])
         with pytest.raises(DomainError):
             instantaneous_capacity("jd", [-1.0])
+
+    @pytest.mark.parametrize("combiner,gammas", [
+        ("jd", [math.nan, 1.0]), ("sc", [math.inf]), ("mrc", [1.0, math.inf]),
+        ("sco", [math.nan])])
+    def test_non_finite_snr_rejected(self, combiner, gammas):
+        with pytest.raises(DomainError):
+            instantaneous_capacity(combiner, gammas)
 
 
 class TestMonteCarlo:
@@ -284,6 +371,45 @@ class TestJdQuadrature:
         with pytest.raises(DomainError):
             outage_jd_quadrature([1.0], 1.0, rel_tol=0.5)
 
+    @pytest.mark.parametrize("snrs,r_c", [
+        ([5.0, 9.0], math.nan), ([5.0, 9.0], math.inf),
+        ([5.0, math.nan], 1.0), ([math.inf, 9.0], 1.0)])
+    def test_non_finite_input_rejected(self, snrs, r_c):
+        with pytest.raises(DomainError):
+            outage_jd_quadrature(snrs, r_c)
+
+    @pytest.mark.parametrize("n,snr_db,spacing,r_c", JD_MPMATH_CASES)
+    def test_agrees_with_mpmath(self, n, snr_db, spacing, r_c):
+        snrs = _means(n, snr_db, spacing)
+        assert outage_jd_quadrature(snrs, r_c).value == pytest.approx(
+            _jd_mpmath(snrs, r_c), rel=1e-10)
+
+    @pytest.mark.parametrize("snrs,r_c", [
+        ([1.0] * 4, 0.5), ([2.0, 3.0, 5.0, 7.0], 1.0),
+        ([10.0, 10.0, 10.0, 10.0 * (1 + 1e-6)], 2.0),
+        ([0.2, 0.3, 0.4, 0.5], 0.5), ([100.0, 200.0, 300.0, 400.0], 4.0),
+        ([1e3] * 4, 1.0)])
+    def test_four_links_agree_with_nested_adaptive_quadrature(self, snrs,
+                                                               r_c):
+        assert outage_jd_quadrature(snrs, r_c).value == pytest.approx(
+            _jd_nested_quad(snrs, r_c, 1e-11), rel=1e-10)
+
+    @pytest.mark.parametrize("block", [1, 7, 300])
+    def test_blocks_of_outer_nodes_sum_to_one_estimate(self, monkeypatch,
+                                                       block):
+        whole = outage_jd_quadrature([3.0, 5.0, 9.0], 4.0).value
+        monkeypatch.setattr(outage, "_BLOCK_NODES", block)
+        assert outage_jd_quadrature([3.0, 5.0, 9.0], 4.0).value == (
+            pytest.approx(whole, rel=1e-14))
+
+    def test_panel_cap_raises(self, monkeypatch):
+        # One 16-node panel per level fits, the doubling to two does not.
+        monkeypatch.setattr(outage, "_MAX_NODES", 16)
+        with pytest.raises(QuadratureError):
+            outage_jd_quadrature([5.0, 9.0], 1.0)
+        with pytest.raises(QuadratureError):
+            outage_exact_closed("mrc", [5.0, 5.0 * (1 + 1e-6)], 1.0)
+
 
 class TestAsymptote:
     def test_joint_decoding_value(self):
@@ -358,6 +484,25 @@ class TestExactClosed:
         apart = outage_exact_closed("mrc", [10.0, 10.0 * (1 + 2e-4)], 1.0).value
         assert near == pytest.approx(base, rel=5e-5)
         assert apart == pytest.approx(base, rel=1e-3)
+
+    @pytest.mark.parametrize("snr_db", [-5, 10, 25, 40])
+    @pytest.mark.parametrize("r_c", [0.5, 2.0, 4.0])
+    @pytest.mark.parametrize("snrs", [
+        [1.0, 1.0 + 1e-6], [1.0, 1.0, 3.0], [1.0, 1.0 + 1e-6, 3.0],
+        [0.5, 1.0, 1.0, 2.0], [1.0, 1.0 + 1e-8, 1.0 + 2e-8, 1.0 + 1e-5]])
+    def test_mrc_degenerate_agrees_with_mpmath(self, snrs, r_c, snr_db):
+        scaled = [g * 10.0 ** (snr_db / 10.0) for g in snrs]
+        assert outage._spacing_kind(scaled) == "degenerate"
+        assert outage_exact_closed("mrc", scaled, r_c).value == pytest.approx(
+            _mrc_mpmath(scaled, coding_constant(1, r_c)), rel=1e-10)
+
+    @pytest.mark.parametrize("combiner", ["sc", "mrc", "sco"])
+    @pytest.mark.parametrize("snrs,r_c", [
+        ([math.nan], 1.0), ([5.0, math.inf], 1.0), ([5.0, 9.0], math.nan),
+        ([5.0, 9.0], math.inf)])
+    def test_non_finite_input_rejected(self, combiner, snrs, r_c):
+        with pytest.raises(DomainError):
+            outage_exact_closed(combiner, snrs, r_c)
 
     def test_degenerate_fallback_opt_out(self):
         with pytest.raises(DegenerateSpacingError):

@@ -70,6 +70,13 @@ class TestCodingConstant:
         with pytest.raises(DomainError):
             coding_constant(2, -0.1)
 
+    @pytest.mark.parametrize("n,r_c", [(60, 1000.0), (1, 2000.0),
+                                       (3, 2000.0), (2, math.inf),
+                                       (2, math.nan)])
+    def test_overflow_and_non_finite_rate_rejected(self, n, r_c):
+        with pytest.raises(DomainError):
+            coding_constant(n, r_c)
+
     def test_monotone_in_rate(self):
         rates = [0.01, 0.1, 0.5, 1.0, 2.0, 5.0]
         for n in (2, 3, 5):

@@ -1,12 +1,14 @@
 import math
 
 import pytest
+from scipy.optimize import bisect
 
 from multiconn.exceptions import BracketError, DomainError
 from multiconn.link_model import Link, Topology
 from multiconn.outage import outage_exact_closed, outage_jd_quadrature
 from multiconn.special_functions import coding_constant
-from multiconn.throughput import (achievable_rate_asymptotic,
+from multiconn.throughput import (DEFAULT_RATE_BRACKET,
+                                  achievable_rate_asymptotic,
                                   achievable_rate_exact,
                                   throughput_asymptotic, throughput_exact,
                                   throughput_from_rate)
@@ -87,6 +89,19 @@ class TestExactRate:
         r_c = achievable_rate_exact("jd", topo, p)
         achieved = outage_jd_quadrature([20.0, 30.0], r_c).value
         assert achieved == pytest.approx(p, rel=1e-3)
+
+    @pytest.mark.parametrize("combiner", ["sc", "mrc", "sco"])
+    @pytest.mark.parametrize("means", [
+        [5.0], [0.3, 0.3], [5.0, 9.0], [40.0, 70.0, 100.0],
+        [1e3, 1e3 * (1 + 1e-6), 2e3], [2.0, 3.0, 5.0, 8.0, 13.0, 21.0]])
+    @pytest.mark.parametrize("p_out", [1e-5, 1e-3, 0.05, 0.5, 0.99])
+    def test_root_bit_identical_to_scipy_bisect(self, combiner, means, p_out):
+        def objective(r_c):
+            return outage_exact_closed(combiner, means, r_c).value - p_out
+
+        expected = bisect(objective, *DEFAULT_RATE_BRACKET, xtol=1e-6)
+        assert achievable_rate_exact(combiner, _topology(means),
+                                     p_out) == expected
 
     def test_unattainable_target_raises(self):
         topo = _topology([5.0, 9.0])
