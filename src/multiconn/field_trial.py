@@ -9,18 +9,23 @@ measurements is reported as an empirical CDF.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import operator
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from itertools import repeat
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .combiners import Combiner
 from .exceptions import DomainError, TraceError
 from .link_model import db_to_linear
-from .outage import outage_asymptotic, outage_exact_closed
-from .throughput import achievable_rate_asymptotic, throughput_from_rate
+from .outage import _asymptote, _closed_form, outage_exact_closed
+from .special_functions import coding_constant
+from .throughput import _rate_inverse, throughput_from_rate
 
 TRACE_HEADER = ("measurement_id", "bs_id", "avg_snr_db")
 CDF_HEADER = ("value", "probability")
@@ -44,10 +49,11 @@ class SnrTrace:
             mid = np.array(measurement_id, dtype=np.int64)
         except OverflowError as exc:
             raise TraceError(f"measurement id outside int64: {exc}") from exc
-        bs = np.array(bs_id, dtype=str)
+        bs_list = (bs_id.tolist() if isinstance(bs_id, np.ndarray)
+                   else list(bs_id))
         snr = np.array(avg_snr_db, dtype=np.float64)
-        if not (mid.ndim == bs.ndim == snr.ndim == 1
-                and mid.size == bs.size == snr.size):
+        if not (mid.ndim == snr.ndim == 1
+                and mid.size == len(bs_list) == snr.size):
             raise TraceError("trace columns must be 1-D and of equal length")
         if not mid.size:
             raise TraceError("trace contains no measurements")
@@ -55,7 +61,15 @@ class SnrTrace:
         if bad.size:
             raise TraceError(f"row {bad[0]}: non-finite avg_snr_db "
                              f"{float(snr[bad[0]])!r}")
-        codes = np.unique(bs, return_inverse=True)[1]
+        # Factorize bs_id through a dict over its distinct values (few base
+        # stations, many rows); numpy converts and orders only those.
+        distinct = list(set(bs_list))
+        names, rank = np.unique(np.array(distinct, dtype=str),
+                                return_inverse=True)
+        code_of = dict(zip(distinct, rank.tolist()))
+        codes = np.fromiter(map(code_of.__getitem__, bs_list), np.intp,
+                            len(bs_list))
+        bs = names[codes]
         pairs = np.lexsort((codes, mid))
         dup = (np.diff(mid[pairs]) == 0) & (np.diff(codes[pairs]) == 0)
         if dup.any():
@@ -64,7 +78,9 @@ class SnrTrace:
                              f"{(int(mid[i]), str(bs[i]))}")
         mid.flags.writeable = bs.flags.writeable = snr.flags.writeable = False
         self.measurement_id, self.bs_id, self.avg_snr_db = mid, bs, snr
-        order = np.lexsort((codes, -snr, mid))
+        # Stable sorts of the (mid, code) order: by -snr, then by mid.
+        order = pairs[np.argsort(-snr[pairs], kind="stable")]
+        order = order[np.argsort(mid[order], kind="stable")]
         ranked_mid = mid[order]
         starts = np.flatnonzero(np.r_[True, ranked_mid[1:] != ranked_mid[:-1]])
         self._ids = ranked_mid[starts]
@@ -78,14 +94,16 @@ class SnrTrace:
                    [r.bs_id for r in records],
                    [r.avg_snr_db for r in records])
 
-    @cached_property
-    def records(self) -> tuple[TraceRecord, ...]:
-        """The rows as records, in file order (built on first access)."""
-        return tuple(map(TraceRecord, self.measurement_id.tolist(),
-                         self.bs_id.tolist(), self.avg_snr_db.tolist()))
+    @property
+    def records(self) -> "TraceRecords":
+        """The rows as records, in file order (a view over the columns)."""
+        return TraceRecords(self)
 
     def __eq__(self, other):
-        return isinstance(other, SnrTrace) and self.records == other.records
+        return isinstance(other, SnrTrace) and all(
+            np.array_equal(a, b) for a, b in zip(
+                (self.measurement_id, self.bs_id, self.avg_snr_db),
+                (other.measurement_id, other.bs_id, other.avg_snr_db)))
 
     def measurement_ids(self) -> list[int]:
         return self._ids.tolist()
@@ -94,6 +112,34 @@ class SnrTrace:
         """The rows of one measurement, in file order."""
         rows = np.flatnonzero(self.measurement_id == measurement_id)
         return [self.records[i] for i in rows.tolist()]
+
+
+class TraceRecords(Sequence):
+    """Read-only view of a trace's rows as ``TraceRecord``s, each built
+    when it is read. Equal to a tuple or view with equal records."""
+
+    def __init__(self, trace: SnrTrace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return self._trace.measurement_id.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        t = self._trace
+        return TraceRecord(int(t.measurement_id[index]), str(t.bs_id[index]),
+                           float(t.avg_snr_db[index]))
+
+    def __iter__(self):
+        t = self._trace
+        return map(TraceRecord, t.measurement_id.tolist(), t.bs_id.tolist(),
+                   t.avg_snr_db.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, TraceRecords)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 @dataclass(frozen=True)
@@ -115,20 +161,72 @@ class EmpiricalCdf:
                    skipped_measurements=skipped)
 
 
+# A line that is neither blank nor a comment: its first non-whitespace
+# character is not '#'. Lines end at "\n" (CRLF is made LF first).
+_DATA_LINE = re.compile(r"^[^\S\n]*[^\s#].*", re.MULTILINE)
+
+
+def _bulk_columns(text: str):
+    """The columns of a trace text, each field converted by the csv loop's
+    own converter a whole column at a time; None where only the loop may
+    read it: a quote, a lone CR, no data row, a line without 3 fields or
+    longer than csv.field_size_limit(), a header other than TRACE_HEADER,
+    a field int or float rejects, or a non-finite SNR."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if '"' in text or "\r" in text:
+        return None
+    lines = _DATA_LINE.findall(text)
+    # A field is no longer than its line.
+    if (len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit()
+            or set(map(str.count, lines, repeat(","))) != {2}):
+        return None
+    fields = ",".join(lines).split(",")
+    del lines  # peak memory: the fields hold the same text
+    if tuple(map(str.strip, fields[:3])) != TRACE_HEADER:
+        return None
+    try:
+        ids = list(map(int, fields[3::3]))
+        snrs = list(map(float, fields[5::3]))
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, snrs)):
+        return None
+    return ids, list(map(str.strip, fields[4::3])), snrs
+
+
 def load_trace(path) -> SnrTrace:
     """Parse a trace CSV (header measurement_id,bs_id,avg_snr_db; '#'
-    comment lines ignored); every SNR must be finite."""
+    comment lines ignored); every SNR must be finite.
+
+    Whole columns are converted at once; a file that needs the csv module
+    (quoted fields) or that is malformed is read line by line instead, and
+    the error names its line."""
+    return SnrTrace(*_read_columns(path))
+
+
+def _read_columns(path):
+    # The text is freed before SnrTrace sorts the columns (peak memory).
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            lines = handle.readlines()
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise TraceError(f"cannot read trace {path}: {exc}") from exc
+    return _bulk_columns(text) or _csv_columns(text, path)
+
+
+def _csv_columns(text: str, path):
+    # One csv row per line, with the line number of the first bad row.
+    lines = io.StringIO(text, newline="").readlines()
     kept = [i for i, line in enumerate(lines)
-            if (text := line.lstrip()) and not text.startswith("#")]
+            if (rest := line.lstrip()) and not rest.startswith("#")]
     if not kept:
         raise TraceError(f"{path}: empty trace file")
     reader = csv.reader(map(lines.__getitem__, kept))
-    header = next(reader)
+    try:
+        header = next(reader)
+    except csv.Error as exc:
+        raise TraceError(f"{path}:{kept[0] + 1}: {exc}") from exc
     if tuple(h.strip() for h in header) != TRACE_HEADER:
         raise TraceError(
             f"{path}:{kept[0] + 1}: expected header "
@@ -151,7 +249,7 @@ def load_trace(path) -> SnrTrace:
         raise TraceError(f"{path}:{kept[len(ids) + 1] + 1}: {exc}") from exc
     if not ids:
         raise TraceError(f"{path}: trace has a header but no data rows")
-    return SnrTrace(ids, bs_ids, snrs)
+    return ids, bs_ids, snrs
 
 
 def write_trace(trace: SnrTrace, handle) -> None:
@@ -173,10 +271,10 @@ def save_cdf(cdf: EmpiricalCdf, path) -> None:
 
 
 def write_cdf(cdf: EmpiricalCdf, handle) -> None:
-    writer = csv.writer(handle)
-    writer.writerow(CDF_HEADER)
-    for value, prob in zip(cdf.values, cdf.probabilities):
-        writer.writerow([repr(float(value)), repr(float(prob))])
+    """Write a CDF as CSV with CRLF line endings, in one write."""
+    handle.write(",".join(CDF_HEADER) + "\r\n" + "".join([
+        f"{value!r},{prob!r}\r\n" for value, prob in zip(
+            cdf.values.tolist(), cdf.probabilities.tolist())]))
 
 
 def strongest_links(trace: SnrTrace, measurement_id: int,
@@ -199,50 +297,70 @@ def strongest_links(trace: SnrTrace, measurement_id: int,
 
 
 def _strongest_rows(trace: SnrTrace, n: int,
-                    combiner: Combiner) -> tuple[list[list[float]], int]:
-    """``strongest_links`` for every measurement with at least n links, in
-    id order (SCo keeps only the strongest), and the count skipped."""
+                    combiner: Combiner) -> tuple[np.ndarray, int]:
+    """``strongest_links`` of every measurement with at least n links, in
+    id order, as one (rows, width) array (SCo keeps only the strongest),
+    and the count skipped. TraceError if no row is left, DomainError if a
+    linear SNR underflows to 0."""
     if n < 1:
         raise DomainError("n must be >= 1")
     sizes = np.diff(trace._bounds)
     starts = trace._bounds[:-1][sizes >= n]
-    # Capped so that an n above every group size selects nothing instead
-    # of allocating an n-wide index.
-    width = min(1 if combiner is Combiner.SCO else n, int(sizes.max()))
-    top = trace._ranked_snr[starts[:, None] + np.arange(width)]
-    rows = [[db_to_linear(x) for x in row] for row in top.tolist()]
+    if not starts.size:
+        raise TraceError("no samples left to build a CDF from")
+    top = trace._ranked_snr[starts[:, None]
+                            + np.arange(1 if combiner is Combiner.SCO else n)]
+    # Each distinct dB level converted once; traces repeat quantised levels.
+    levels, at = np.unique(top, return_inverse=True)
+    rows = np.array([db_to_linear(x) for x in levels.tolist()])[
+        at.reshape(top.shape)]
+    if not rows.all():
+        raise DomainError("average SNRs must be finite and positive")
     return rows, sizes.size - starts.size
 
 
 def empirical_outage_cdf(trace: SnrTrace, n: int, r_c: float,
                          combiner) -> EmpiricalCdf:
-    """Per-measurement outage on the n strongest links, as a CDF."""
+    """Per-measurement outage on the n strongest links, as a CDF.
+
+    Each value is bitwise that of ``outage_asymptotic`` (JD) or
+    ``outage_exact_closed`` on the measurement's ``strongest_links``."""
     combiner = Combiner.parse(combiner)
-    if r_c <= 0:
-        raise DomainError("r_c must be positive")
+    if not 0 < r_c < math.inf:
+        raise DomainError(f"r_c must be finite and positive, got {r_c}")
     rows, skipped = _strongest_rows(trace, n, combiner)
-    # JD uses its asymptote (clamped), matching the batch methodology; the
-    # other combiners have exact closed forms.
-    row_outage = (outage_asymptotic if combiner is Combiner.JD
-                  else outage_exact_closed)
-    return EmpiricalCdf.from_samples(
-        [row_outage(combiner, snrs, r_c).value for snrs in rows],
-        skipped=skipped)
+    if combiner is Combiner.JD:
+        # JD uses its asymptote (clamped), matching the batch methodology.
+        values = np.minimum(
+            _asymptote(combiner, rows.shape[1], r_c, rows.prod(axis=1)), 1.0)
+    elif combiner is Combiner.MRC:
+        # Through the public function, so that the time of its spacing
+        # routes (the costliest rows) stays visible as its own call.
+        values = [outage_exact_closed(combiner, snrs, r_c).value
+                  for snrs in rows.tolist()]
+    else:
+        a1 = coding_constant(1, r_c)
+        values = [_closed_form(combiner, snrs, a1) for snrs in rows.tolist()]
+    return EmpiricalCdf.from_samples(values, skipped=skipped)
 
 
 def empirical_throughput_cdf(trace: SnrTrace, n: int, p_out: float,
                              bandwidth: float, combiner) -> EmpiricalCdf:
-    """Per-measurement asymptotic throughput at a target outage, as a CDF."""
+    """Per-measurement asymptotic throughput at a target outage, as a CDF.
+
+    Each value is bitwise that of ``throughput_from_rate`` at
+    ``achievable_rate_asymptotic`` of the measurement's strongest links."""
     combiner = Combiner.parse(combiner)
     if not 0.0 < p_out < 1.0:
         raise DomainError("p_out must lie in (0, 1)")
     if bandwidth <= 0:
         raise DomainError("bandwidth must be positive")
     rows, skipped = _strongest_rows(trace, n, combiner)
+    rate = _rate_inverse(combiner, rows.shape[1])
     return EmpiricalCdf.from_samples(
-        [throughput_from_rate(
-            bandwidth, achievable_rate_asymptotic(combiner, snrs, p_out),
-            p_out) for snrs in rows], skipped=skipped)
+        [throughput_from_rate(bandwidth, rate(target), p_out)
+         for target in (p_out * rows.prod(axis=1)).tolist()],
+        skipped=skipped)
 
 
 @dataclass(frozen=True)

@@ -226,16 +226,23 @@ def asymptotic_outage_value(combiner, avg_snrs: Sequence[float],
         raise DomainError("average SNRs must be finite and positive")
     if not 0 < r_c < math.inf:
         raise DomainError(f"r_c must be finite and positive, got {r_c}")
-    n = len(snrs)
     if combiner is Combiner.SCO:
-        return coding_constant(1, r_c) / snrs[0]
-    product = math.prod(snrs)
+        snrs = snrs[:1]
+    return _asymptote(combiner, len(snrs), r_c, math.prod(snrs))
+
+
+def _asymptote(combiner: Combiner, n: int, r_c: float, product):
+    """``asymptotic_outage_value`` of n links whose SNR product is
+    ``product``: a float, or an array of row products. SCo is SC on its
+    one link. DomainError where a product underflowed to 0."""
+    if not (product.all() if isinstance(product, np.ndarray) else product):
+        raise DomainError("the product of the average SNRs underflows to 0")
     if combiner is Combiner.JD:
         return coding_constant(n, r_c) / product
-    a1 = coding_constant(1, r_c)
-    if combiner is Combiner.SC:
-        return a1 ** n / product
-    return a1 ** n / (math.factorial(n) * product)
+    a1_n = coding_constant(1, r_c) ** n
+    if combiner is Combiner.MRC:
+        return a1_n / (math.factorial(n) * product)
+    return a1_n / product
 
 
 def _spacing_kind(snrs: Sequence[float]) -> str:
@@ -299,9 +306,16 @@ def outage_exact_closed(combiner, avg_snrs: Sequence[float], r_c: float,
                           "Monte-Carlo")
     if r_c == 0:
         return OutageEstimate(value=0.0, method="closed-form")
-    a1 = coding_constant(1, r_c)
-    n = len(snrs)
+    return OutageEstimate(
+        value=_closed_form(combiner, snrs, coding_constant(1, r_c),
+                           degenerate_fallback),
+        method="closed-form")
 
+
+def _closed_form(combiner: Combiner, snrs: list[float], a1: float,
+                 degenerate_fallback: bool = True) -> float:
+    """``outage_exact_closed`` of SC, MRC or SCo at A_1(R_c) = a1 > 0."""
+    n = len(snrs)
     if combiner is Combiner.SCO:
         value = -math.expm1(-a1 / snrs[0])
     elif combiner is Combiner.SC:
@@ -329,9 +343,7 @@ def outage_exact_closed(combiner, avg_snrs: Sequence[float], r_c: float,
                     "average SNRs are neither clearly equal nor clearly "
                     "distinct; enable the convolution fallback")
             value = _mrc_outage_convolution(snrs, a1)
-
-    return OutageEstimate(value=min(max(value, 0.0), 1.0),
-                          method="closed-form")
+    return min(max(value, 0.0), 1.0)
 
 
 def outage_jd_lower_bound_tse(avg_snr: float, n: int,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from .combiners import Combiner
@@ -51,17 +52,19 @@ def achievable_rate_asymptotic(combiner, avg_snrs: Sequence[float],
         raise DomainError("average SNRs must be positive")
     if not 0.0 < p_out < 1.0:
         raise DomainError("p_out must lie in (0, 1)")
-    n = len(snrs)
     if combiner is Combiner.SCO:
-        return math.log2(p_out * snrs[0] + 1.0)
-    target = p_out * math.prod(snrs)
-    if combiner is Combiner.JD:
-        if n == 1:
-            return math.log2(target + 1.0)
-        return coding_constant_inverse(n, target, mode=mode)
-    if combiner is Combiner.SC:
-        return math.log2(target ** (1.0 / n) + 1.0)
-    return math.log2((math.factorial(n) * target) ** (1.0 / n) + 1.0)
+        snrs = snrs[:1]
+    return _rate_inverse(combiner, len(snrs), mode)(p_out * math.prod(snrs))
+
+
+def _rate_inverse(combiner: Combiner, n: int, mode: str = "refined"):
+    """``achievable_rate_asymptotic`` of n links as a function of the
+    target p_out * prod(G). SCo is SC on its one link."""
+    if combiner is Combiner.JD and n > 1:
+        return partial(coding_constant_inverse, n, mode=mode)
+    scale = math.factorial(n) if combiner is Combiner.MRC else 1
+    root = 1.0 / n
+    return lambda target: math.log2((scale * target) ** root + 1.0)
 
 
 def achievable_rate_exact(combiner, topology: Topology, p_out: float,

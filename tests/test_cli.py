@@ -109,9 +109,20 @@ class TestValidationExits:
         ("outage", "--method", "bound", "--rate", "nan"),
         ("outage", "--method", "bound", "--combiner", "mrc", "--rate", "inf"),
         ("gain", "--rate-range", "0.5:2000:3"),
+        ("outage", "--method", "asymptotic", "--n-links", "3",
+         "--snr-db-range", "-3000:-2990:2"),
     ])
     def test_exit_code_2(self, capsys, argv):
         assert cli.main(list(argv)) == 2
+
+    def test_trace_with_underflowed_snr_product_exits_2(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "trace.csv"
+        path.write_text("measurement_id,bs_id,avg_snr_db\n"
+                        "0,BS00,-3000\n0,BS01,-3000\n0,BS02,-2990\n")
+        assert cli.main(["cdf", "--trace", str(path), "--combiner", "jd",
+                         "--n-links", "3", "--rate", "1"]) == 2
+        assert "underflows" in capsys.readouterr().err
 
     def test_missing_trace_is_io_error(self, capsys):
         assert cli.main(["cdf", "--trace", "/nonexistent/trace.csv",

@@ -1,17 +1,24 @@
+import csv
+import io
 import math
+import random
+import warnings
+from collections.abc import Sequence
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from multiconn import field_trial
 from multiconn.exceptions import DomainError, TraceError
-from multiconn.field_trial import (CDF_HEADER, EmpiricalCdf, SnrModelParams,
+from multiconn.field_trial import (CDF_HEADER, TRACE_HEADER, EmpiricalCdf,
+                                   SnrModelParams,
                                    SnrTrace, TraceRecord,
                                    empirical_outage_cdf,
                                    empirical_throughput_cdf, load_trace,
                                    save_cdf, save_trace, strongest_links,
-                                   synthesize_trace)
+                                   synthesize_trace, write_cdf)
 from multiconn.link_model import db_to_linear
 from multiconn.outage import outage_asymptotic, outage_exact_closed
 from multiconn.throughput import (achievable_rate_asymptotic,
@@ -58,6 +65,43 @@ class TestTraceContainer:
     def test_measurement_id_beyond_int64_rejected(self):
         with pytest.raises(TraceError, match="int64"):
             _trace([(2**63, "BS00", 20.0)])
+
+    def test_records_view(self):
+        records = SMALL_TRACE.records
+        assert isinstance(records, Sequence)
+        assert len(records) == 6
+        assert records[0] == TraceRecord(0, "BS00", 20.0)
+        assert records[-1] == TraceRecord(1, "BS02", 18.0)
+        assert records[1:3] == (TraceRecord(0, "BS01", 25.0),
+                                TraceRecord(0, "BS02", 15.0))
+        assert list(records) == [records[i] for i in range(6)]
+        assert records == tuple(records) == SMALL_TRACE.records
+        assert records != list(records)
+        assert records != tuple((r.measurement_id, r.bs_id, r.avg_snr_db)
+                                for r in records)
+        with pytest.raises(IndexError):
+            records[6]
+        with pytest.raises(TypeError):
+            records[0] = records[1]
+
+    def test_len_and_equality_build_no_record(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(field_trial, "TraceRecord",
+                            lambda *row: built.append(row))
+        a, b = synthesize_trace(50, 4, seed=1), synthesize_trace(50, 4, seed=1)
+        assert len(a.records) == 200
+        assert a == b
+        assert built == []
+
+    def test_equality_compares_every_column(self):
+        base = [(0, "BS00", 20.0), (0, "BS01", 0.0)]
+        assert _trace(base) == _trace([(0, "BS00", 20.0), (0, "BS01", -0.0)])
+        for other in ([(1, "BS00", 20.0), (1, "BS01", 0.0)],
+                      [(0, "BS00", 20.0), (0, "BS02", 0.0)],
+                      [(0, "BS00", 20.5), (0, "BS01", 0.0)],
+                      base[:1]):
+            assert _trace(base) != _trace(other)
+        assert _trace(base) != base
 
 
 class TestTraceIo:
@@ -135,6 +179,14 @@ class TestTraceIo:
                         f"0,{'B' * 200_000},25.0\n")
         with pytest.raises(TraceError, match=":3: field larger"):
             load_trace(path)
+
+    def test_quoted_fields_load(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text('measurement_id,bs_id,avg_snr_db\n'
+                        '0,"BS,01",20.0\n"1", BS02 ,"2.5"\n')
+        assert field_trial._bulk_columns(path.read_text()) is None
+        assert load_trace(path).records == (TraceRecord(0, "BS,01", 20.0),
+                                            TraceRecord(1, "BS02", 2.5))
 
     def test_undecodable_file(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -220,6 +272,22 @@ class TestOutageCdf:
             trace, 2, 1e-3, 1e6, "sco").values.tolist() == [
             throughput_from_rate(
                 1e6, achievable_rate_asymptotic("sco", strongest, 1e-3), 1e-3)]
+
+    @pytest.mark.parametrize("combiner", ["jd", "sc", "mrc"])
+    def test_underflowed_snrs_raise_domain_error(self, combiner):
+        # -3000 dB is 1e-300 linear, so the product of three underflows;
+        # -3500 dB underflows on its own.
+        for db in ([-3000.0, -3000.0, -2990.0], [20.0, 10.0, -3500.0]):
+            trace = _trace([(0, f"BS{i}", x) for i, x in enumerate(db)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if combiner == "jd" or db[2] == -3500.0:
+                    with pytest.raises(DomainError):
+                        empirical_outage_cdf(trace, 3, 1.0, combiner)
+                if db[2] == -3500.0:
+                    with pytest.raises(DomainError):
+                        empirical_throughput_cdf(trace, 3, 1e-3, 1e6,
+                                                 combiner)
 
     def test_n_above_every_measurement(self):
         with pytest.raises(TraceError, match="no samples"):
@@ -418,3 +486,169 @@ class TestTraceProperties:
         trace = _trace(rows)
         save_trace(trace, path)
         assert load_trace(path) == trace
+
+
+# The csv loop that read every trace file before the bulk reader: one csv
+# row per kept line, and a TraceError that names the line of a bad row.
+def _ref_load_columns(path):
+    with open(path, newline="", encoding="utf-8") as handle:
+        lines = handle.readlines()
+    kept = [i for i, line in enumerate(lines)
+            if line.lstrip() and not line.lstrip().startswith("#")]
+    if not kept:
+        raise TraceError(f"{path}: empty trace file")
+    reader = csv.reader(lines[i] for i in kept)
+    try:
+        header = next(reader)
+    except csv.Error as exc:
+        raise TraceError(f"{path}:{kept[0] + 1}: {exc}") from exc
+    if tuple(h.strip() for h in header) != TRACE_HEADER:
+        raise TraceError(
+            f"{path}:{kept[0] + 1}: expected header "
+            f"{','.join(TRACE_HEADER)}, got {lines[kept[0]].strip()!r}")
+    ids, bs_ids, snrs = [], [], []
+    try:
+        for row in reader:
+            if reader.line_num != len(ids) + 2:
+                raise ValueError("quoted field runs past the end of the line")
+            if len(row) != 3:
+                raise ValueError(f"expected 3 fields, got {len(row)}")
+            mid, snr = int(row[0]), float(row[2])
+            if not math.isfinite(snr):
+                raise ValueError(f"non-finite avg_snr_db {row[2].strip()!r}")
+            ids.append(mid)
+            bs_ids.append(row[1].strip())
+            snrs.append(snr)
+    except (ValueError, csv.Error) as exc:
+        raise TraceError(f"{path}:{kept[len(ids) + 1] + 1}: {exc}") from exc
+    if not ids:
+        raise TraceError(f"{path}: trace has a header but no data rows")
+    return ids, bs_ids, snrs
+
+
+def _column_bits(ids, bs_ids, snrs):
+    return ([(type(i), i) for i in ids], [(type(b), b) for b in bs_ids],
+            [float.hex(x) for x in snrs])
+
+
+def _outcome(load):
+    # A loaded trace as its column bits, or a TraceError as its message.
+    try:
+        trace = load()
+    except TraceError as exc:
+        return str(exc)
+    return _column_bits(trace.measurement_id.tolist(), trace.bs_id.tolist(),
+                        trace.avg_snr_db.tolist())
+
+
+_OVER_LONG = "B" * (csv.field_size_limit() + 1)
+_CLEAN_LINE = st.tuples(
+    st.one_of(st.integers(-3, 3).map(str),
+              st.sampled_from([" 2", "+1 ", "1_0", "-0", "١"])),
+    st.sampled_from(["BS00", "BS01", " BS02 ", "Ä", "", "b\x00", "a b"]),
+    st.one_of(st.floats(-200, 200).map(repr),
+              st.sampled_from(["-0.0", " 1e1", "+2.5", "1_0.5", "1E-3 ",
+                               ".5", "7", "٣.5"]))).map(",".join)
+_SKIPPED_LINE = st.sampled_from(["# comment", "  # indented, comment", "#",
+                                 "", " \t ", "\x0c", "\x85"])
+_ODD_LINE = st.sampled_from([
+    "0,BS00", "0,BS00,1.0,2", "0,,", "x,BS00,1.0", "1e3,BS00,1.0",
+    "0x1,BS00,1.0", "9" * 25 + ",BS00,1.0", "0,BS00,nan", "0,BS00, inf",
+    "0,BS00,-Infinity", "0,BS00,1e400", "0,BS00,x", '0,"a,b",1.0',
+    '"0",BS00,"2.5"', '0,"q""x",1.0', '"1\n",BS00,1.0', '0,"open,1.0',
+    f"0,{_OVER_LONG},1.0", "0,BS00,1.0\x00"])
+_HEADER = st.sampled_from(["measurement_id,bs_id,avg_snr_db"] * 10 + [
+    " measurement_id , bs_id,avg_snr_db\t", '"measurement_id",bs_id,avg_snr_db',
+    "measurement_id,bs_id", "a,b,c", f"{_OVER_LONG},bs_id,avg_snr_db"])
+
+
+@st.composite
+def _trace_texts(draw):
+    # Comments and blank lines, a header (or not), then mostly well-formed
+    # rows with comments, blank lines and malformed rows among them. Lines end in LF,
+    # in CRLF, or each in one of LF, CRLF and a lone CR; the last line may
+    # have no end.
+    lines = (draw(st.lists(_SKIPPED_LINE, max_size=2)) + [draw(_HEADER)]
+             + draw(st.lists(st.one_of(*[_CLEAN_LINE] * 6, _SKIPPED_LINE,
+                                       _ODD_LINE), min_size=1, max_size=6)))
+    style = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    ends = [style] * len(lines) if style != "mixed" else draw(st.lists(
+        st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+        max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestBulkReader:
+    @settings(max_examples=400, deadline=None)
+    @given(text=_trace_texts())
+    # A lone CR ends the comment line, so the csv loop reads row 1.
+    @example(text="measurement_id,bs_id,avg_snr_db\n0,BS00,1.0\n"
+                  "# note\r1,BS01,2.0\n")
+    def test_agrees_with_the_csv_loop(self, text, tmp_path_factory):
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        path.write_bytes(text.encode("utf-8"))
+        bulk = field_trial._bulk_columns(text)
+        try:
+            ref = _ref_load_columns(path)
+        except TraceError as exc:
+            # The bulk reader never accepts a file the loop rejects, and
+            # load_trace raises the loop's message, line number included.
+            assert bulk is None
+            assert _outcome(lambda: load_trace(path)) == str(exc)
+            return
+        if bulk is not None:
+            assert _column_bits(*bulk) == _column_bits(*ref)
+        assert (_outcome(lambda: load_trace(path))
+                == _outcome(lambda: SnrTrace(*ref)))
+
+    def test_reads_the_benchmark_style_file_in_bulk(self, tmp_path):
+        text = ("# synthetic\r\nmeasurement_id,bs_id,avg_snr_db\r\n"
+                "3,BS01,20.25\r\n\r\n  # note\r\n3,BS00,-4.0\r\n")
+        assert field_trial._bulk_columns(text) == (
+            [3, 3], ["BS01", "BS00"], [20.25, -4.0])
+
+
+def _rows_for_every_n(seed):
+    # SNRs on a 0.25 dB grid over 25 dB, distinct within a measurement
+    # except in the all-equal ones, so that MRC takes its equal or distinct
+    # closed form at every N (every gap exceeds 1e-4 of the largest SNR);
+    # measurement 40 ties at the top, which sends MRC at N = 3 to the
+    # convolution route. Measurements have 1 to 10 links.
+    rng = random.Random(seed)
+    grid = [k * 0.25 for k in range(101)]
+    rows = [(40, "BS00", 20.0), (40, "BS01", 20.0), (40, "BS02", 15.0)]
+    for mid in range(40):
+        k = rng.randint(1, 10)
+        snrs = rng.sample(grid, k) if mid % 8 else [rng.choice(grid)] * k
+        rows += [(mid, f"BS{b:02d}", x)
+                 for b, x in zip(rng.sample(range(12), k), snrs)]
+    return rows
+
+
+class TestCdfRowsForEveryN:
+    @pytest.mark.parametrize("combiner", ["jd", "sc", "mrc", "sco"])
+    def test_rows_equal_the_scalar_functions(self, combiner):
+        rows = _rows_for_every_n(3)
+        trace = _trace(rows)
+        for n in range(1, 9):
+            _assert_cdf_matches(
+                lambda: empirical_outage_cdf(trace, n, 1.5, combiner),
+                rows, n, partial(_ref_outage, combiner))
+            _assert_cdf_matches(
+                lambda: empirical_throughput_cdf(trace, n, 1e-2, 1e6,
+                                                 combiner),
+                rows, n, partial(_ref_throughput, combiner))
+
+    def test_write_cdf_bytes_match_csv_writer(self):
+        cdf = empirical_throughput_cdf(_trace(_rows_for_every_n(4)), 2, 1e-2,
+                                       1e6, "mrc")
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(CDF_HEADER)
+        for value, prob in zip(cdf.values, cdf.probabilities):
+            writer.writerow([repr(float(value)), repr(float(prob))])
+        got = io.StringIO()
+        write_cdf(cdf, got)
+        assert got.getvalue() == expected.getvalue()

@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from multiconn import link_model, outage
@@ -435,6 +436,32 @@ class TestAsymptote:
         assert est.value == 1.0
         assert est.saturated
         assert asymptotic_outage_value("sco", [0.01], 4.0) > 1.0
+
+    @pytest.mark.parametrize("combiner", ["jd", "sc", "mrc"])
+    def test_underflowed_snr_product_rejected(self, combiner):
+        # Each SNR is positive, but their product underflows to 0.0.
+        with pytest.raises(DomainError, match="underflows"):
+            asymptotic_outage_value(combiner, [1e-300] * 3, 1.0)
+        with pytest.raises(DomainError, match="underflows"):
+            outage_asymptotic(combiner, [1e-300] * 3, 1.0)
+        assert asymptotic_outage_value("sco", [1e-300] * 3, 1.0) > 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(combiner=st.sampled_from(["jd", "sc", "mrc", "sco"]),
+           snrs=st.lists(st.floats(1e-150, 1e150), min_size=1, max_size=8),
+           r_c=st.floats(1e-6, 64.0))
+    def test_same_bits_as_the_per_combiner_formulas(self, combiner, snrs,
+                                                    r_c):
+        # The asymptote as written before the row kernels were shared.
+        n, product = len(snrs), math.prod(snrs)
+        a1 = coding_constant(1, r_c)
+        if product == 0.0:
+            return
+        expected = {"sco": a1 / snrs[0],
+                    "jd": coding_constant(n, r_c) / product,
+                    "sc": a1 ** n / product,
+                    "mrc": a1 ** n / (math.factorial(n) * product)}[combiner]
+        assert asymptotic_outage_value(combiner, snrs, r_c) == expected
 
     def test_mrc_distinct_is_tagged_as_bound(self):
         assert outage_asymptotic("mrc", [5.0, 9.0], 1.0).method == "bound-upper"

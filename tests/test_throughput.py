@@ -1,12 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import bisect
 
 from multiconn.exceptions import BracketError, DomainError
 from multiconn.link_model import Link, Topology
 from multiconn.outage import outage_exact_closed, outage_jd_quadrature
-from multiconn.special_functions import coding_constant
+from multiconn.special_functions import (coding_constant,
+                                         coding_constant_inverse)
 from multiconn.throughput import (DEFAULT_RATE_BRACKET,
                                   achievable_rate_asymptotic,
                                   achievable_rate_exact,
@@ -67,6 +69,27 @@ class TestAsymptoticRate:
         approx = achievable_rate_asymptotic("jd", snrs, p, mode="paper")
         assert approx != refined
         assert approx == pytest.approx(refined, rel=0.1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(combiner=st.sampled_from(["jd", "sc", "mrc", "sco"]),
+           snrs=st.lists(st.floats(1e-3, 1e12), min_size=1, max_size=8),
+           p_out=st.floats(1e-9, 0.5))
+    def test_same_bits_as_the_per_combiner_inverses(self, combiner, snrs,
+                                                    p_out):
+        # The inverses as written before the row kernels were shared.
+        n = len(snrs)
+        target = p_out * math.prod(snrs)
+        if combiner == "sco":
+            expected = math.log2(p_out * snrs[0] + 1.0)
+        elif combiner == "jd":
+            expected = (math.log2(target + 1.0) if n == 1
+                        else coding_constant_inverse(n, target))
+        elif combiner == "sc":
+            expected = math.log2(target ** (1.0 / n) + 1.0)
+        else:
+            expected = math.log2(
+                (math.factorial(n) * target) ** (1.0 / n) + 1.0)
+        assert achievable_rate_asymptotic(combiner, snrs, p_out) == expected
 
     def test_validation(self):
         with pytest.raises(DomainError):
