@@ -7,8 +7,8 @@ traces.
 """
 
 from .combiners import Combiner
-from .exceptions import (BracketError, ConvergenceError, DegenerateSpacingError,
-                         DomainError, QuadratureError, TraceError,
+from .exceptions import (BracketError, ConvergenceError, DomainError,
+                         QuadratureError, TraceError,
                          UnsupportedLinkCountError)
 from .field_trial import (EmpiricalCdf, SnrModelParams, SnrTrace,
                           empirical_outage_cdf, empirical_throughput_cdf,
@@ -31,9 +31,8 @@ from .throughput import (ThroughputResult, achievable_rate_asymptotic,
 
 __all__ = [
     "Combiner",
-    "BracketError", "ConvergenceError", "DegenerateSpacingError",
-    "DomainError", "QuadratureError", "TraceError",
-    "UnsupportedLinkCountError",
+    "BracketError", "ConvergenceError", "DomainError", "QuadratureError",
+    "TraceError", "UnsupportedLinkCountError",
     "EmpiricalCdf", "SnrModelParams", "SnrTrace", "empirical_outage_cdf",
     "empirical_throughput_cdf", "load_trace", "strongest_links",
     "synthesize_trace",

@@ -22,9 +22,11 @@ import numpy as np
 from . import field_trial, selftest
 from . import outage as outage_mod
 from .combiners import Combiner
-from .exceptions import (BracketError, ConvergenceError, DegenerateSpacingError,
-                         DomainError, QuadratureError, TraceError,
-                         UnsupportedLinkCountError)
+from .exceptions import (BracketError, ConvergenceError, DomainError,
+                         QuadratureError, TraceError,
+                         UnsupportedLinkCountError, _require_count,
+                         _require_finite, _require_positive,
+                         _require_probability)
 from .gains_dmt import (GainQuery, dmt, dmt_empirical, snr_gain_jd_vs,
                         snr_gain_mco_sco)
 from .link_model import db_to_linear, equal_power_topology
@@ -42,19 +44,23 @@ def _parse_range(spec: str) -> list[float]:
         start, stop, steps = float(start_s), float(stop_s), int(steps_s)
     except ValueError:
         raise DomainError(f"range must be start:stop:steps, got {spec!r}")
+    _require_finite("range start", start)
+    _require_finite("range stop", stop)
     if not start < stop:
         raise DomainError(f"range start must be below stop in {spec!r}")
-    if steps < 2:
-        raise DomainError(f"range needs at least 2 steps, got {steps}")
+    _require_count("range steps", steps, 2)
     return [float(x) for x in np.linspace(start, stop, steps)]
 
 
 def _parse_distances(spec, n_links) -> dict[int, list[float]]:
     if spec is None:
         return {n: [1.0] * n for n in n_links}
-    values = [float(x) for x in spec.split(",")]
-    if any(d <= 0 for d in values):
-        raise DomainError("distances must be positive")
+    try:
+        values = [float(x) for x in spec.split(",")]
+    except ValueError:
+        raise DomainError(f"--distances must be numbers, got {spec!r}")
+    for d in values:
+        _require_positive("distance", d)
     for n in n_links:
         if n != len(values):
             raise DomainError(
@@ -102,39 +108,27 @@ def _plan_n(combiner: Combiner, n: int) -> int:
     return 1 if combiner is Combiner.SCO else n
 
 
-def _normalize_plan(combiners, n_links, methods, valid_methods,
-                    check) -> list[tuple[Combiner, int, str]]:
+# The (method, combiner) pairs that have no formula.
+_UNDEFINED = {("bound", Combiner.SC), ("bound", Combiner.SCO),
+              ("paper-approx", Combiner.SC), ("paper-approx", Combiner.MRC),
+              ("paper-approx", Combiner.SCO)}
+
+
+def _normalize_plan(combiners, n_links,
+                    methods) -> list[tuple[Combiner, int, str]]:
     plan = []
     for n in n_links:
-        if n < 1:
-            raise DomainError("--n-links entries must be >= 1")
+        _require_count("--n-links", n, 1)
         for name in combiners:
             combiner = Combiner.parse(name)
             for method in methods:
-                if method not in valid_methods:
-                    raise DomainError(f"unknown method {method!r}")
-                check(combiner, _plan_n(combiner, n), method)
+                if (method, combiner) in _UNDEFINED:
+                    raise DomainError(f"method {method!r} is not defined "
+                                      f"for {combiner.value}")
                 entry = (combiner, _plan_n(combiner, n), method)
                 if entry not in plan:
                     plan.append(entry)
     return plan
-
-
-def _check_outage_combo(combiner: Combiner, n: int, method: str) -> None:
-    if method == "exact" and combiner is Combiner.JD and n > outage_mod.MAX_QUADRATURE_LINKS:
-        raise UnsupportedLinkCountError(
-            f"exact JD outage supports N <= {outage_mod.MAX_QUADRATURE_LINKS}")
-    if method == "bound" and combiner in (Combiner.SC, Combiner.SCO):
-        raise DomainError(f"method 'bound' is not defined for "
-                          f"{combiner.value}")
-
-
-def _check_throughput_combo(combiner: Combiner, n: int, method: str) -> None:
-    if method == "exact" and combiner is Combiner.JD and n > outage_mod.MAX_QUADRATURE_LINKS:
-        raise UnsupportedLinkCountError(
-            f"exact JD rate supports N <= {outage_mod.MAX_QUADRATURE_LINKS}")
-    if method == "paper-approx" and combiner is not Combiner.JD:
-        raise DomainError("method 'paper-approx' applies to JD only")
 
 
 # Figure-reproduction presets: pinned parameters, modest default fidelity.
@@ -151,7 +145,7 @@ _PRESETS = {
         plan=[(Combiner.JD, n, m) for n in (2, 3, 5)
               for m in ("asymptotic", "paper-approx")]
         + [(Combiner.SCO, 1, "asymptotic")],
-        snr_db_range="10:60:26", seed=7),
+        snr_db_range="10:60:26"),
     "fig3a": dict(
         command="gain", kinds=("mco-sco",), n_links=(2, 3, 4),
         p_outs=(1e-3, 1e-5), rate_range="0.5:25:50"),
@@ -222,21 +216,17 @@ def cli():
 @click.option("--eta", type=float, default=2.0)
 @click.option("--mc-samples", type=int, default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--bandwidth-hz", type=float, default=20e6)
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
 @click.option("--gnuplot", is_flag=True)
 def outage_cmd(preset, n_links, rate, combiners, methods, snr_db_range,
-               distances, eta, mc_samples, seed, bandwidth_hz, out, gnuplot):
+               distances, eta, mc_samples, seed, out, gnuplot):
     """Sweep outage probability over total transmit SNR."""
     (plan, n_links, combiners, methods, rate, snr_db_range, mc_samples,
      seed) = _settings("outage", preset, plan=None, n_links=n_links,
                        combiners=combiners, methods=methods, rate=rate,
                        snr_db_range=snr_db_range, mc_samples=mc_samples,
                        seed=seed)
-    plan = plan or _normalize_plan(combiners, n_links, methods,
-                                   _OUTAGE_METHODS, _check_outage_combo)
-    if not 0 <= rate < math.inf:
-        raise DomainError(f"--rate must be finite and nonnegative, got {rate}")
+    plan = plan or _normalize_plan(combiners, n_links, methods)
     grid = _parse_range(snr_db_range)
     dist_map = _parse_distances(distances, {n for _, n, _ in plan})
 
@@ -253,9 +243,11 @@ def outage_cmd(preset, n_links, rate, combiners, methods, snr_db_range,
         total = db_to_linear(snr_db)
         row = [_fmt(snr_db)]
         flags = []
+        # One topology per link count; outage reads no bandwidth (1 Hz).
+        topos = {n: equal_power_topology(total, dists, eta, 1.0)
+                 for n, dists in dist_map.items()}
         for col_index, (combiner, n, method) in enumerate(plan):
-            dists = dist_map[n]
-            topo = equal_power_topology(total, dists, eta, bandwidth_hz)
+            topo = topos[n]
             gammas = [link.average_snr for link in topo.links]
             if method == "exact":
                 if combiner is Combiner.JD:
@@ -302,24 +294,20 @@ def outage_cmd(preset, n_links, rate, combiners, methods, snr_db_range,
 @click.option("--snr-db-range", default=None)
 @click.option("--distances", default=None)
 @click.option("--eta", type=float, default=2.0)
-@click.option("--seed", type=int, default=0)
 @click.option("--bandwidth-hz", type=float, default=None)
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
 @click.option("--gnuplot", is_flag=True)
 def throughput_cmd(preset, n_links, p_out, combiners, methods, snr_db_range,
-                   distances, eta, seed, bandwidth_hz, out, gnuplot):
+                   distances, eta, bandwidth_hz, out, gnuplot):
     """Sweep throughput at a target outage over total transmit SNR."""
     (plan, n_links, combiners, methods, p_out, snr_db_range,
      bandwidth_hz) = _settings(
         "throughput", preset, plan=None, n_links=n_links, combiners=combiners,
         methods=methods, p_out=p_out, snr_db_range=snr_db_range,
         bandwidth_hz=bandwidth_hz)
-    plan = plan or _normalize_plan(combiners, n_links, methods,
-                                   _THROUGHPUT_METHODS, _check_throughput_combo)
-    if bandwidth_hz <= 0:
-        raise DomainError("--bandwidth-hz must be positive")
-    if not 0.0 < p_out < 1.0:
-        raise DomainError("--outage must lie in (0, 1)")
+    plan = plan or _normalize_plan(combiners, n_links, methods)
+    _require_positive("--bandwidth-hz", bandwidth_hz)
+    _require_probability("--outage", p_out)
     grid = _parse_range(snr_db_range)
     dist_map = _parse_distances(distances, {n for _, n, _ in plan})
 
@@ -332,8 +320,10 @@ def throughput_cmd(preset, n_links, p_out, combiners, methods, snr_db_range,
         total = db_to_linear(snr_db)
         row = [_fmt(snr_db)]
         flags = []
+        topos = {n: equal_power_topology(total, dists, eta, bandwidth_hz)
+                 for n, dists in dist_map.items()}
         for combiner, n, method in plan:
-            topo = equal_power_topology(total, dist_map[n], eta, bandwidth_hz)
+            topo = topos[n]
             gammas = [link.average_snr for link in topo.links]
             try:
                 if method == "exact":
@@ -375,18 +365,14 @@ def gain_cmd(preset, kinds, n_links, p_outs, rate_range, distances, eta,
         "gain", preset, kinds=kinds, n_links=n_links, p_outs=p_outs,
         rate_range=rate_range)
     for p in p_outs:
-        if not 0.0 < p < 1.0:
-            raise DomainError("--outage values must lie in (0, 1)")
+        _require_probability("--outage", p)
     grid = _parse_range(rate_range)
-    if grid[0] <= 0:
-        raise DomainError("gain sweeps require positive spectral efficiency")
     dist_map = _parse_distances(distances, set(n_links))
 
     plan = []
     for kind in kinds:
         for n in n_links:
-            if n < 2:
-                raise DomainError("gain sweeps require n >= 2")
+            _require_count("--n-links", n, 2)
             if kind == "mco-sco":
                 plan.extend((kind, n, p) for p in p_outs)
             else:
@@ -433,8 +419,7 @@ def dmt_cmd(combiners, n_links, steps, empirical, snr_db_range, out):
     """Tabulate the diversity-multiplexing tradeoff."""
     combiners = combiners or ("jd", "sc", "mrc")
     n_links = n_links or (2,)
-    if steps < 2:
-        raise DomainError("--steps must be >= 2")
+    _require_count("--steps", steps, 2)
     grid_db = _parse_range(snr_db_range) if empirical else None
 
     header = ["combiner", "n_links", "r", "d_analytic"]
@@ -566,8 +551,7 @@ def main(argv=None) -> int:
     except (DomainError, UnsupportedLinkCountError) as exc:
         click.echo(f"validation error: {exc}", err=True)
         return 2
-    except (ConvergenceError, QuadratureError, BracketError,
-            DegenerateSpacingError) as exc:
+    except (ConvergenceError, QuadratureError, BracketError) as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         return 3
     except (TraceError, OSError) as exc:

@@ -21,7 +21,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .combiners import Combiner
-from .exceptions import DomainError, TraceError
+from .exceptions import (TraceError, _require_count, _require_positive,
+                         _require_probability)
 from .link_model import db_to_linear
 from .outage import _asymptote, _closed_form, outage_exact_closed
 from .special_functions import coding_constant
@@ -283,8 +284,7 @@ def strongest_links(trace: SnrTrace, measurement_id: int,
 
     Ties are broken by ascending base-station id for determinism.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _require_count("n", n, 1)
     g = int(np.searchsorted(trace._ids, measurement_id))
     found = g < trace._ids.size and trace._ids[g] == measurement_id
     lo, hi = trace._bounds[g:g + 2] if found else (0, 0)
@@ -302,8 +302,7 @@ def _strongest_rows(trace: SnrTrace, n: int,
     id order, as one (rows, width) array (SCo keeps only the strongest),
     and the count skipped. TraceError if no row is left, DomainError if a
     linear SNR underflows to 0."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _require_count("n", n, 1)
     sizes = np.diff(trace._bounds)
     starts = trace._bounds[:-1][sizes >= n]
     if not starts.size:
@@ -312,11 +311,8 @@ def _strongest_rows(trace: SnrTrace, n: int,
                             + np.arange(1 if combiner is Combiner.SCO else n)]
     # Each distinct dB level converted once; traces repeat quantised levels.
     levels, at = np.unique(top, return_inverse=True)
-    rows = np.array([db_to_linear(x) for x in levels.tolist()])[
-        at.reshape(top.shape)]
-    if not rows.all():
-        raise DomainError("average SNRs must be finite and positive")
-    return rows, sizes.size - starts.size
+    rows = np.array([db_to_linear(x) for x in levels.tolist()])
+    return rows[at.reshape(top.shape)], sizes.size - starts.size
 
 
 def empirical_outage_cdf(trace: SnrTrace, n: int, r_c: float,
@@ -326,13 +322,13 @@ def empirical_outage_cdf(trace: SnrTrace, n: int, r_c: float,
     Each value is bitwise that of ``outage_asymptotic`` (JD) or
     ``outage_exact_closed`` on the measurement's ``strongest_links``."""
     combiner = Combiner.parse(combiner)
-    if not 0 < r_c < math.inf:
-        raise DomainError(f"r_c must be finite and positive, got {r_c}")
+    _require_positive("r_c", r_c)
     rows, skipped = _strongest_rows(trace, n, combiner)
     if combiner is Combiner.JD:
-        # JD uses its asymptote (clamped), matching the batch methodology.
-        values = np.minimum(
-            _asymptote(combiner, rows.shape[1], r_c, rows.prod(axis=1)), 1.0)
+        # JD uses its asymptote, clamped to 1 (an overflow to inf too).
+        with np.errstate(over="ignore"):
+            values = np.minimum(_asymptote(combiner, rows.shape[1], r_c,
+                                           rows.prod(axis=1)), 1.0)
     elif combiner is Combiner.MRC:
         # Through the public function, so that the time of its spacing
         # routes (the costliest rows) stays visible as its own call.
@@ -351,10 +347,8 @@ def empirical_throughput_cdf(trace: SnrTrace, n: int, p_out: float,
     Each value is bitwise that of ``throughput_from_rate`` at
     ``achievable_rate_asymptotic`` of the measurement's strongest links."""
     combiner = Combiner.parse(combiner)
-    if not 0.0 < p_out < 1.0:
-        raise DomainError("p_out must lie in (0, 1)")
-    if bandwidth <= 0:
-        raise DomainError("bandwidth must be positive")
+    _require_probability("p_out", p_out)
+    _require_positive("bandwidth", bandwidth)
     rows, skipped = _strongest_rows(trace, n, combiner)
     rate = _rate_inverse(combiner, rows.shape[1])
     return EmpiricalCdf.from_samples(
@@ -382,8 +376,8 @@ def synthesize_trace(n_measurements: int, n_bs: int,
                      snr_model_params: Optional[SnrModelParams] = None,
                      seed: int = 0) -> SnrTrace:
     """Deterministic synthetic trace with log-normal SNR spread."""
-    if n_measurements < 1 or n_bs < 1:
-        raise DomainError("n_measurements and n_bs must be >= 1")
+    _require_count("n_measurements", n_measurements, 1)
+    _require_count("n_bs", n_bs, 1)
     params = snr_model_params or SnrModelParams()
     rng = np.random.default_rng(seed)
     bs_offsets = rng.normal(0.0, params.bs_spread_db, size=n_bs)

@@ -8,11 +8,12 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .combiners import Combiner
-from .exceptions import DomainError
+from .exceptions import (DomainError, _float_result,
+                         _require_count, _require_finite, _require_positive,
+                         _require_probability)
 from .link_model import db_to_linear
-from .special_functions import coding_constant
-
-LN2 = math.log(2.0)
+from .outage import asymptotic_outage_value
+from .special_functions import LN2, coding_constant
 
 #: Slope constants: the commonly quoted rounded values and the exact ones.
 ROUNDED_DB_PER_NEPER = 4.3
@@ -35,18 +36,16 @@ class GainQuery:
     eta: float = 2.0
 
     def __post_init__(self):
-        if self.n_links < 1:
-            raise DomainError("n_links must be >= 1")
-        if self.r_c <= 0:
-            raise DomainError("r_c must be positive")
-        if not 0.0 < self.p_out < 1.0:
-            raise DomainError("p_out must lie in (0, 1)")
+        _require_count("n_links", self.n_links, 1)
+        _require_positive("r_c", self.r_c)
+        _require_probability("p_out", self.p_out)
         distances = tuple(self.distances) or (1.0,) * self.n_links
         object.__setattr__(self, "distances", distances)
         if len(distances) != self.n_links:
             raise DomainError("distances must have one entry per link")
-        if any(d <= 0 for d in distances) or self.eta <= 0:
-            raise DomainError("distances and eta must be positive")
+        for d in distances:
+            _require_positive("distance", d)
+        _require_positive("eta", self.eta)
 
     @property
     def path_losses(self) -> tuple[float, ...]:
@@ -59,6 +58,7 @@ class DmtPoint:
     diversity_gain: float
 
 
+@_float_result(_require_positive)
 def required_total_snr(combiner, query: GainQuery) -> float:
     """Total P_T/N_0 (linear) needed to hit the query's rate and outage.
 
@@ -76,6 +76,7 @@ def required_total_snr(combiner, query: GainQuery) -> float:
     return n * (a_n / query.p_out) ** (1.0 / n) / math.prod(losses) ** (1.0 / n)
 
 
+@_float_result(_require_positive)
 def snr_gain_mco_sco(query: GainQuery) -> float:
     """SNR gain of multi-connectivity with JD over single-connectivity."""
     n = query.n_links
@@ -89,6 +90,7 @@ def snr_gain_mco_sco(query: GainQuery) -> float:
             * math.prod(losses) ** (1.0 / n) / losses[0])
 
 
+@_float_result(_require_positive)
 def snr_gain_mco_sco_approx(query: GainQuery) -> float:
     """High-rate simplification of the MCo-over-SCo gain; accuracy degrades
     at small spectral efficiencies."""
@@ -102,13 +104,12 @@ def snr_gain_mco_sco_approx(query: GainQuery) -> float:
             * math.prod(losses) ** (1.0 / n) / losses[0])
 
 
+@_float_result(_require_positive)
 def snr_gain_jd_vs(reference, n: int, r_c: float) -> float:
     """SNR gain of JD over SC or MRC (ratio of coding gains)."""
     reference = Combiner.parse(reference)
-    if n < 2:
-        raise DomainError("n must be >= 2")
-    if r_c <= 0:
-        raise DomainError("r_c must be positive")
+    _require_count("n", n, 2)
+    _require_positive("r_c", r_c)
     base = coding_constant(1, r_c) / coding_constant(n, r_c) ** (1.0 / n)
     if reference is Combiner.SC:
         return base
@@ -121,19 +122,16 @@ def gain_slope_wrt_outage(n: int, p_out: float, rounded: bool = True) -> float:
     """Derivative of the MCo-over-SCo gain (in dB) with respect to P_out:
     -c * (N-1)/N / P_out, with c the rounded (4.3) or exact (10/ln 10)
     constant."""
-    if n < 2:
-        raise DomainError("n must be >= 2")
-    if not 0.0 < p_out < 1.0:
-        raise DomainError("p_out must lie in (0, 1)")
+    _require_count("n", n, 2)
+    _require_probability("p_out", p_out)
     c = ROUNDED_DB_PER_NEPER if rounded else EXACT_DB_PER_NEPER
-    return -c * (n - 1) / n / p_out
+    return _require_finite("gain slope", -c * (n - 1) / n / p_out)
 
 
 def gain_slope_wrt_rate(n: int, rounded: bool = False) -> float:
     """Asymptotic slope of the gain in dB per source sample/symbol:
     c * (N-1)/N with c rounded (3) or exact (10 log10 2)."""
-    if n < 2:
-        raise DomainError("n must be >= 2")
+    _require_count("n", n, 2)
     c = ROUNDED_DB_PER_RATE if rounded else EXACT_DB_PER_RATE
     return c * (n - 1) / n
 
@@ -144,8 +142,7 @@ def dmt(combiner, r: float, n: int) -> DmtPoint:
     JD: d = N - r on r in [0, N]; SC/MRC: d = N(1 - r) on r in [0, 1].
     """
     combiner = Combiner.parse(combiner)
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _require_count("n", n, 1)
     if combiner is Combiner.JD:
         if not 0.0 <= r <= n:
             raise DomainError(f"JD multiplexing gain must lie in [0, {n}]")
@@ -166,7 +163,7 @@ def dmt_empirical(combiner, r: float, n: int,
                   snr_grid_db: Sequence[float]) -> float:
     """Estimate the diversity gain from the asymptotic outage slope.
 
-    Evaluates the (unclamped) outage asymptote at the rate schedule
+    Evaluates ``asymptotic_outage_value`` at the rate schedule
     R_c = r * log2(N * G) on the two largest grid points and returns
     -d log2(P) / d log2(N * G). Assumes equal average SNR per link.
     """
@@ -182,12 +179,10 @@ def dmt_empirical(combiner, r: float, n: int,
     for snr_db in grid[-2:]:
         gbar = db_to_linear(snr_db)
         r_c = r * math.log2(n * gbar) if r > 0 else _R0_FIXED_RATE
-        if combiner is Combiner.JD:
-            value = coding_constant(n, r_c) / gbar ** n
-        else:
-            value = coding_constant(1, r_c) ** n / gbar ** n
-            if combiner is Combiner.MRC:
-                value /= math.factorial(n)
-        log_p.append(math.log2(value))
+        value = asymptotic_outage_value(combiner, [gbar] * n, r_c)
+        log_p.append(math.log2(_require_positive("outage asymptote", value)))
         log_snr.append(math.log2(n * gbar))
+    if log_snr[0] == log_snr[1]:
+        raise DomainError(f"grid points {grid[-2]} and {grid[-1]} dB are the "
+                          "same linear SNR")
     return -(log_p[1] - log_p[0]) / (log_snr[1] - log_snr[0])

@@ -9,16 +9,15 @@ many workers produced the chunks.
 from __future__ import annotations
 
 import collections
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import (DomainError, _require_count, _require_finite,
+                         _require_positive)
 
 #: Fixed sampling chunk size; part of the determinism contract.
 CHUNK_SIZE = 1 << 16
@@ -45,14 +44,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
 
-def _require_count(name: str, value: int, minimum: int) -> None:
-    # bool is an Integral too, but True is no sample count.
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {value}")
-
-
 @dataclass(frozen=True)
 class Link:
     """One transmitter-receiver link.
@@ -66,13 +57,9 @@ class Link:
     path_loss_exponent: float
 
     def __post_init__(self):
-        for name in ("power_ratio", "distance", "path_loss_exponent"):
-            value = getattr(self, name)
-            # False for nan and inf as well as for values <= 0; kept inline
-            # because sweeps build a Link per point and link.
-            if not 0 < value < math.inf:
-                raise DomainError(
-                    f"Link.{name} must be finite and positive, got {value}")
+        _require_positive("Link.power_ratio", self.power_ratio)
+        _require_positive("Link.distance", self.distance)
+        _require_positive("Link.path_loss_exponent", self.path_loss_exponent)
 
     @property
     def average_snr(self) -> float:
@@ -92,11 +79,8 @@ class Topology:
 
     def __post_init__(self):
         object.__setattr__(self, "links", tuple(self.links))
-        if len(self.links) < 1:
-            raise DomainError("Topology needs at least one link")
-        if not 0 < self.bandwidth < math.inf:
-            raise DomainError("Topology.bandwidth must be finite and positive, "
-                              f"got {self.bandwidth}")
+        _require_count("number of links", len(self.links), 1)
+        _require_positive("Topology.bandwidth", self.bandwidth)
 
     @property
     def n_links(self) -> int:
@@ -108,10 +92,6 @@ def equal_power_topology(total_power_ratio: float,
                          eta: float,
                          bandwidth: float) -> Topology:
     """Split a total P_T/N_0 equally over one link per distance entry."""
-    if total_power_ratio <= 0:
-        raise DomainError("total_power_ratio must be positive")
-    if not distances:
-        raise DomainError("at least one distance is required")
     n = len(distances)
     links = tuple(Link(total_power_ratio / n, d, eta) for d in distances)
     return Topology(links=links, bandwidth=bandwidth)
@@ -123,15 +103,19 @@ def average_snrs(topology: Topology) -> np.ndarray:
 
 
 def db_to_linear(x_db: float) -> float:
+    """10^(x_db/10); DomainError where it overflows or underflows to 0."""
+    _require_finite("x_db", x_db)
     try:
-        return 10.0 ** (x_db / 10.0)
+        value = 10.0 ** (x_db / 10.0)
     except OverflowError:
         raise DomainError(f"{x_db} dB overflows the linear scale") from None
+    if not value:
+        raise DomainError(f"{x_db} dB underflows the linear scale to 0")
+    return value
 
 
 def linear_to_db(x: float) -> float:
-    if x <= 0:
-        raise DomainError(f"linear_to_db requires a positive input, got {x}")
+    _require_positive("x", x)
     return 10.0 * np.log10(x)
 
 

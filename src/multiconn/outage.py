@@ -16,9 +16,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .combiners import Combiner
-from .exceptions import (DegenerateSpacingError, DomainError, QuadratureError,
-                         UnsupportedLinkCountError)
-from .link_model import Topology, _require_count, iter_snr_chunks
+from .exceptions import (DomainError, QuadratureError,
+                         UnsupportedLinkCountError, _require_count,
+                         _require_finite, _require_nonnegative,
+                         _require_positive, _require_snrs)
+from .link_model import Topology, iter_snr_chunks
 from .special_functions import LN2, coding_constant
 
 #: Largest link count served by nested quadrature.
@@ -33,7 +35,7 @@ _MAX_NODES = 1 << 26
 _BLOCK_NODES = 1 << 20
 # Each link's range ends where its SNR exceeds this many means: for JD
 # where the density underflows (e^-745), for the MRC sum where the tail
-# mass (e^-50 ~ 2e-22) is below any rel_tol.
+# mass (e^-50 ~ 2e-22) is below either rel_tol (1e-8 JD, 1e-9 MRC).
 _JD_TAIL_MEANS = 745.0
 _MRC_TAIL_MEANS = 50.0
 
@@ -78,8 +80,7 @@ def instantaneous_capacity(combiner, gammas: Sequence[float]) -> float:
     """
     combiner = Combiner.parse(combiner)
     g = np.array(gammas, dtype=float)
-    if g.size == 0:
-        raise DomainError("gammas must be nonempty")
+    _require_count("number of gammas", g.size, 1)
     if not np.all((g >= 0) & (g < math.inf)):
         raise DomainError("instantaneous SNRs must be finite and nonnegative")
     return float(_capacity_rows(combiner, g.reshape(1, -1))[0])
@@ -118,8 +119,7 @@ def outage_monte_carlo(combiner, topology: Topology, r_c: float,
     """
     combiner = Combiner.parse(combiner)
     _require_count("sample_count", sample_count, _MIN_MC_SAMPLES)
-    if not (math.isfinite(r_c) and r_c >= 0):
-        raise DomainError(f"r_c must be finite and nonnegative, got {r_c}")
+    _require_nonnegative("r_c", r_c)
     events = 0
     for block in iter_snr_chunks(topology, sample_count, seed):
         events += int(np.count_nonzero(_capacity_rows(combiner, block) < r_c))
@@ -177,31 +177,29 @@ def _nested_integral(levels, innermost, total: float,
         f"panels per level (last change {err:.3g} on value {value:.3g})")
 
 
-def outage_jd_quadrature(avg_snrs: Sequence[float], r_c: float,
-                         rel_tol: float = 1e-8) -> OutageEstimate:
+def outage_jd_quadrature(avg_snrs: Sequence[float],
+                         r_c: float) -> OutageEstimate:
     """Exact JD outage via nested Gauss-Legendre quadrature.
 
     Integrates over the rate shares x_i = log2(1 + gamma_i) of the first
     N-1 links, each on [0, min(remaining rate, log2(1 + 745 G_i))]; the
     last link's CDF is closed form. Panels double until two successive
-    estimates agree to ``rel_tol``. Supports N <= 4.
+    estimates agree to 1e-8 relative. Supports N <= 4; DomainError where
+    A_1(r_c) = 2^r_c - 1 overflows a float.
     """
-    snrs = [float(g) for g in avg_snrs]
+    snrs = _require_snrs(avg_snrs)
     n = len(snrs)
-    if n < 1:
-        raise DomainError("avg_snrs must be nonempty")
-    if not all(0 < g < math.inf for g in snrs):
-        raise DomainError("average SNRs must be finite and positive")
     if n > MAX_QUADRATURE_LINKS:
         raise UnsupportedLinkCountError(
             f"JD quadrature supports N <= {MAX_QUADRATURE_LINKS}, got {n}; "
             "use Monte-Carlo instead")
-    if not 1e-10 <= rel_tol <= 1e-3:
-        raise DomainError(f"rel_tol must lie in [1e-10, 1e-3], got {rel_tol}")
-    if not 0 <= r_c < math.inf:
-        raise DomainError(f"r_c must be finite and nonnegative, got {r_c}")
+    _require_nonnegative("r_c", r_c)
     if r_c == 0:
         return OutageEstimate(value=0.0, method="quadrature")
+    try:
+        math.expm1(r_c * LN2)
+    except OverflowError:
+        raise DomainError(f"A_1({r_c}) overflows a float") from None
 
     # Density and range of each rate share x = log2(1 + gamma).
     levels = [(lambda x, mean=mean: LN2 / mean
@@ -213,19 +211,17 @@ def outage_jd_quadrature(avg_snrs: Sequence[float], r_c: float,
         rate = np.minimum(rate, levels[-1][1])
         return -np.expm1(-np.expm1(rate * LN2) / last)
 
-    value, _ = _nested_integral(levels[:-1], innermost, r_c, rel_tol)
+    value, _ = _nested_integral(levels[:-1], innermost, r_c, 1e-8)
     return OutageEstimate(value=min(max(value, 0.0), 1.0), method="quadrature")
 
 
 def asymptotic_outage_value(combiner, avg_snrs: Sequence[float],
                             r_c: float) -> float:
-    """Unclamped high-SNR asymptote; may exceed 1 at low SNR."""
+    """Unclamped high-SNR asymptote; may exceed 1 at low SNR. DomainError
+    where it overflows a float or the SNR product underflows to 0."""
     combiner = Combiner.parse(combiner)
-    snrs = [float(g) for g in avg_snrs]
-    if not snrs or not all(0 < g < math.inf for g in snrs):
-        raise DomainError("average SNRs must be finite and positive")
-    if not 0 < r_c < math.inf:
-        raise DomainError(f"r_c must be finite and positive, got {r_c}")
+    snrs = _require_snrs(avg_snrs)
+    _require_positive("r_c", r_c)
     if combiner is Combiner.SCO:
         snrs = snrs[:1]
     return _asymptote(combiner, len(snrs), r_c, math.prod(snrs))
@@ -234,14 +230,18 @@ def asymptotic_outage_value(combiner, avg_snrs: Sequence[float],
 def _asymptote(combiner: Combiner, n: int, r_c: float, product):
     """``asymptotic_outage_value`` of n links whose SNR product is
     ``product``: a float, or an array of row products. SCo is SC on its
-    one link. DomainError where a product underflowed to 0."""
+    one link. DomainError where a product underflowed to 0 or A_1^n
+    overflows a float; +inf where only the division overflows."""
     if not (product.all() if isinstance(product, np.ndarray) else product):
         raise DomainError("the product of the average SNRs underflows to 0")
     if combiner is Combiner.JD:
         return coding_constant(n, r_c) / product
-    a1_n = coding_constant(1, r_c) ** n
-    if combiner is Combiner.MRC:
-        return a1_n / (math.factorial(n) * product)
+    try:
+        a1_n = coding_constant(1, r_c) ** n
+        if combiner is Combiner.MRC:
+            return a1_n / (math.factorial(n) * product)
+    except OverflowError:
+        raise DomainError(f"A_1({r_c})^{n} overflows a float") from None
     return a1_n / product
 
 
@@ -274,20 +274,21 @@ def outage_asymptotic(combiner, avg_snrs: Sequence[float],
                           saturated=saturated)
 
 
-def _mrc_outage_convolution(snrs: Sequence[float], threshold: float,
-                            rel_tol: float = 1e-9) -> float:
+def _mrc_outage_convolution(snrs: Sequence[float], threshold: float) -> float:
     # Pr[sum of independent exponentials <= threshold], by nested quadrature
-    # over the first N-1 SNRs.
+    # over the first N-1 SNRs. Where a mean is tiny, g / mean overflows and
+    # the sum may be NaN, which the caller rejects.
     last = snrs[-1]
     levels = [(lambda g, mean=mean: np.exp(-g / mean) / mean,
                _MRC_TAIL_MEANS * mean) for mean in snrs[:-1]]
-    value, _ = _nested_integral(levels, lambda g: -np.expm1(-g / last),
-                                threshold, rel_tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, _ = _nested_integral(levels, lambda g: -np.expm1(-g / last),
+                                    threshold, 1e-9)
     return value
 
 
-def outage_exact_closed(combiner, avg_snrs: Sequence[float], r_c: float,
-                        degenerate_fallback: bool = True) -> OutageEstimate:
+def outage_exact_closed(combiner, avg_snrs: Sequence[float],
+                        r_c: float) -> OutageEstimate:
     """Closed-form exact outage for SC, MRC, and SCo (JD has none).
 
     MRC routes between the equal-SNR and distinct-SNR forms based on the
@@ -296,24 +297,19 @@ def outage_exact_closed(combiner, avg_snrs: Sequence[float], r_c: float,
     ill-conditioned there.
     """
     combiner = Combiner.parse(combiner)
-    snrs = [float(g) for g in avg_snrs]
-    if not snrs or not all(0 < g < math.inf for g in snrs):
-        raise DomainError("average SNRs must be finite and positive")
-    if not 0 <= r_c < math.inf:
-        raise DomainError(f"r_c must be finite and nonnegative, got {r_c}")
+    snrs = _require_snrs(avg_snrs)
+    _require_nonnegative("r_c", r_c)
     if combiner is Combiner.JD:
         raise DomainError("JD has no closed exact form; use quadrature or "
                           "Monte-Carlo")
     if r_c == 0:
         return OutageEstimate(value=0.0, method="closed-form")
     return OutageEstimate(
-        value=_closed_form(combiner, snrs, coding_constant(1, r_c),
-                           degenerate_fallback),
+        value=_closed_form(combiner, snrs, coding_constant(1, r_c)),
         method="closed-form")
 
 
-def _closed_form(combiner: Combiner, snrs: list[float], a1: float,
-                 degenerate_fallback: bool = True) -> float:
+def _closed_form(combiner: Combiner, snrs: list[float], a1: float) -> float:
     """``outage_exact_closed`` of SC, MRC or SCo at A_1(R_c) = a1 > 0."""
     n = len(snrs)
     if combiner is Combiner.SCO:
@@ -336,26 +332,22 @@ def _closed_form(combiner: Combiner, snrs: list[float], a1: float,
                 prod = math.prod(1.0 / (gi - gj)
                                  for j, gj in enumerate(snrs) if j != i)
                 terms.append(gi ** (n - 1) * -math.expm1(-a1 / gi) * prod)
-            value = math.fsum(terms)
+            try:
+                value = math.fsum(terms)
+            except (OverflowError, ValueError):  # inf - inf in the terms
+                value = math.nan
         else:
-            if not degenerate_fallback:
-                raise DegenerateSpacingError(
-                    "average SNRs are neither clearly equal nor clearly "
-                    "distinct; enable the convolution fallback")
             value = _mrc_outage_convolution(snrs, a1)
-    return min(max(value, 0.0), 1.0)
+    return min(max(_require_finite("closed-form outage", value), 0.0), 1.0)
 
 
 def outage_jd_lower_bound_tse(avg_snr: float, n: int,
                               r_c: float) -> OutageEstimate:
     """Equal-rate-share lower bound on JD outage for equal average SNRs:
     [1 - exp(-A_1(R_c/N)/G)]^N."""
-    if not 0 < avg_snr < math.inf:
-        raise DomainError("avg_snr must be finite and positive")
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if not 0 <= r_c < math.inf:
-        raise DomainError(f"r_c must be finite and nonnegative, got {r_c}")
+    _require_positive("avg_snr", avg_snr)
+    _require_count("n", n, 1)
+    _require_nonnegative("r_c", r_c)
     per_link = coding_constant(1, r_c / n)
     value = (-math.expm1(-per_link / avg_snr)) ** n
     return OutageEstimate(value=value, method="bound-lower")

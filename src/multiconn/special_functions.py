@@ -11,7 +11,10 @@ from __future__ import annotations
 import math
 
 from .combiners import Combiner
-from .exceptions import ConvergenceError, DomainError
+from .exceptions import (ConvergenceError, DomainError,
+                         _float_result, _require_count,
+                         _require_finite, _require_nonnegative,
+                         _require_positive)
 
 LN2 = math.log(2.0)
 
@@ -27,8 +30,8 @@ _INVERSE_MAX_ITER = 200
 
 def exp_sum(n: int, x: float) -> float:
     """Partial sum of the exponential series: sum_{k=0}^{n-1} x^k / k!."""
-    if n < 1:
-        raise DomainError(f"exp_sum requires n >= 1, got {n}")
+    _require_count("n", n, 1)
+    _require_finite("x", x)
     term = 1.0
     total = 1.0
     for k in range(1, n):
@@ -52,7 +55,7 @@ def _coding_constant_tail(n: int, r_c: float) -> float:
         k += 1
         term *= -t / k
         total += term
-        if abs(term) < _TAIL_STOP_REL * abs(total):
+        if abs(term) < _TAIL_STOP_REL * abs(total) or not term:  # underflow
             break
     return 2.0 ** r_c * total
 
@@ -62,12 +65,11 @@ def coding_constant(n: int, r_c: float) -> float:
 
     A_1(R_c) = 2^R_c - 1. Zero iff ``r_c`` is zero, strictly increasing in
     ``r_c``. Small rates are routed through an alternating tail series to
-    avoid catastrophic cancellation in the closed form.
+    avoid catastrophic cancellation in the closed form. DomainError where
+    A_N overflows a float or underflows to 0.
     """
-    if n < 1:
-        raise DomainError(f"coding_constant requires n >= 1, got {n}")
-    if not r_c >= 0:
-        raise DomainError(f"coding_constant requires r_c >= 0, got {r_c}")
+    _require_count("n", n, 1)
+    _require_nonnegative("r_c", r_c)
     if r_c == 0:
         return 0.0
     try:
@@ -81,42 +83,41 @@ def coding_constant(n: int, r_c: float) -> float:
         value = math.inf
     if not -math.inf < value < math.inf:
         raise DomainError(f"A_{n}({r_c}) overflows a float")
+    if not value:
+        raise DomainError(f"A_{n}({r_c}) underflows to 0")
     return value
 
 
+@_float_result(_require_nonnegative)
 def coding_constant_slope(n: int, r_c: float) -> float:
     """d A_N / d R_c = ln(2) * 2^R_c * (R_c ln 2)^(N-1) / (N-1)!."""
-    if n < 1:
-        raise DomainError(f"coding_constant_slope requires n >= 1, got {n}")
-    if r_c < 0:
-        raise DomainError(f"coding_constant_slope requires r_c >= 0, got {r_c}")
+    _require_count("n", n, 1)
+    _require_nonnegative("r_c", r_c)
     return LN2 * 2.0 ** r_c * (r_c * LN2) ** (n - 1) / math.factorial(n - 1)
 
 
 def lambert_w_asymptotic(z: float) -> float:
-    """Asymptotic upper-branch form ln(z) - ln(ln(z)), valid for z >= e."""
+    """Asymptotic upper-branch form ln(z) - ln(ln(z)), for finite z >= e."""
+    _require_positive("z", z)
     if z < math.e:
         raise DomainError(f"lambert_w_asymptotic requires z >= e, got {z}")
     return math.log(z) - math.log(math.log(z))
 
 
-def lambert_w_upper_branch(z: float, rel_tol: float = 1e-12,
-                           max_iter: int = 64) -> float:
-    """Upper-branch Lambert W for z >= e, refined by Halley iteration.
+def lambert_w_upper_branch(z: float) -> float:
+    """Upper-branch Lambert W for finite z >= e, by Halley iteration.
 
     Seeded with :func:`lambert_w_asymptotic` and polished on w*e^w = z until
-    the step falls below ``rel_tol`` relative.
+    the step falls below 1e-12 relative.
     """
-    if z < math.e:
-        raise DomainError(f"lambert_w_upper_branch requires z >= e, got {z}")
     w = lambert_w_asymptotic(z)
-    for _ in range(max_iter):
+    for _ in range(64):
         ew = math.exp(w)
         f = w * ew - z
         denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * (w + 1.0))
         step = f / denom
         w -= step
-        if abs(step) <= rel_tol * abs(w):
+        if abs(step) <= 1e-12 * abs(w):
             return w
     raise ConvergenceError(f"Lambert W did not converge for z={z}")
 
@@ -129,8 +130,8 @@ def _inverse_seed(n: int, y: float) -> float:
     return (y * math.factorial(n)) ** (1.0 / n) / LN2
 
 
-def coding_constant_inverse(n: int, y: float, mode: str = "refined",
-                            max_iter: int = _INVERSE_MAX_ITER) -> float:
+@_float_result(_require_positive)
+def coding_constant_inverse(n: int, y: float, mode: str = "refined") -> float:
     """Invert A_N: return the spectral efficiency R_c with A_N(R_c) = y.
 
     ``mode="paper"`` returns the closed Lambert-W style approximation
@@ -139,24 +140,18 @@ def coding_constant_inverse(n: int, y: float, mode: str = "refined",
     ``mode="refined"`` (default) polishes that seed with Newton iteration
     until |A_N(R_c) - y| / y < 1e-10.
     """
-    if n < 2:
-        raise DomainError(f"coding_constant_inverse requires n >= 2, got {n}")
-    if y <= 0:
-        raise DomainError(f"coding_constant_inverse requires y > 0, got {y}")
+    _require_count("n", n, 2)
+    _require_positive("y", y)
     if mode not in ("refined", "paper"):
         raise DomainError(f"unknown inverse mode {mode!r}")
 
     if mode == "paper":
+        # DomainError from lambert_w_asymptotic where zeta < e.
         zeta = (math.factorial(n - 1) * y) ** (1.0 / (n - 1)) / (n - 1)
-        if zeta < math.e:
-            raise DomainError(
-                f"paper-approx inverse needs zeta >= e, got zeta={zeta}")
         return (n - 1) / LN2 * lambert_w_asymptotic(zeta)
 
-    x = _inverse_seed(n, y)
-    if x <= 0:
-        x = 1.0
-    for _ in range(max_iter):
+    x = _inverse_seed(n, y)  # > 0 for every y > 0
+    for _ in range(_INVERSE_MAX_ITER):
         residual = coding_constant(n, x) - y
         if abs(residual) <= _INVERSE_REL_RESIDUAL * y:
             return x
@@ -170,14 +165,13 @@ def coding_constant_inverse(n: int, y: float, mode: str = "refined",
         f"coding_constant_inverse did not converge for n={n}, y={y}")
 
 
+@_float_result(_require_positive)
 def coding_gain(combiner, n: int, r_c: float) -> float:
     """Coding gain of a combiner: JD -> A_N^(-1/N), SC/SCo -> 1/A_1,
     MRC -> (N!)^(1/N) / A_1."""
     combiner = Combiner.parse(combiner)
-    if n < 1:
-        raise DomainError(f"coding_gain requires n >= 1, got {n}")
-    if r_c <= 0:
-        raise DomainError(f"coding_gain requires r_c > 0, got {r_c}")
+    _require_count("n", n, 1)
+    _require_positive("r_c", r_c)
     if combiner is Combiner.SCO and n != 1:
         raise DomainError("SCo coding gain is defined for n=1 only")
     if combiner is Combiner.JD:

@@ -8,7 +8,9 @@ from functools import partial
 from typing import Sequence
 
 from .combiners import Combiner
-from .exceptions import BracketError, ConvergenceError, DomainError
+from .exceptions import (BracketError, ConvergenceError, DomainError,
+                         _float_result, _require_nonnegative, _require_positive,
+                         _require_probability, _require_snrs)
 from .link_model import Topology, average_snrs
 from .outage import outage_exact_closed, outage_jd_quadrature
 from .special_functions import coding_constant_inverse
@@ -28,16 +30,15 @@ class ThroughputResult:
 
 
 def throughput_from_rate(bandwidth: float, r_c: float, p_out: float) -> float:
-    """T = B * R_c * (1 - P_out) in bit/s."""
-    if bandwidth <= 0:
-        raise DomainError("bandwidth must be positive")
-    if r_c < 0:
-        raise DomainError("r_c must be nonnegative")
+    """T = B * R_c * (1 - P_out) in bit/s; DomainError where it overflows."""
+    _require_positive("bandwidth", bandwidth)
+    _require_nonnegative("r_c", r_c)
     if not 0.0 <= p_out <= 1.0:
-        raise DomainError("p_out must lie in [0, 1]")
-    return bandwidth * r_c * (1.0 - p_out)
+        raise DomainError(f"p_out must lie in [0, 1], got {p_out!r}")
+    return _require_nonnegative("throughput", bandwidth * r_c * (1.0 - p_out))
 
 
+@_float_result(_require_nonnegative)
 def achievable_rate_asymptotic(combiner, avg_snrs: Sequence[float],
                                p_out: float, mode: str = "refined") -> float:
     """Invert the high-SNR outage asymptote for the rate at a target outage.
@@ -47,11 +48,8 @@ def achievable_rate_asymptotic(combiner, avg_snrs: Sequence[float],
     inverses.
     """
     combiner = Combiner.parse(combiner)
-    snrs = [float(g) for g in avg_snrs]
-    if not snrs or any(g <= 0 for g in snrs):
-        raise DomainError("average SNRs must be positive")
-    if not 0.0 < p_out < 1.0:
-        raise DomainError("p_out must lie in (0, 1)")
+    snrs = _require_snrs(avg_snrs)
+    _require_probability("p_out", p_out)
     if combiner is Combiner.SCO:
         snrs = snrs[:1]
     return _rate_inverse(combiner, len(snrs), mode)(p_out * math.prod(snrs))
@@ -67,10 +65,8 @@ def _rate_inverse(combiner: Combiner, n: int, mode: str = "refined"):
     return lambda target: math.log2((scale * target) ** root + 1.0)
 
 
-def achievable_rate_exact(combiner, topology: Topology, p_out: float,
-                          rate_bracket: tuple[float, float] = DEFAULT_RATE_BRACKET,
-                          jd_rel_tol: float = 1e-8) -> float:
-    """Solve the monotone exact outage curve P_out(R_c) = p_out by bisection.
+def achievable_rate_exact(combiner, topology: Topology, p_out: float) -> float:
+    """Bisect DEFAULT_RATE_BRACKET for the rate where exact P_out = p_out.
 
     Uses the closed forms for SC/MRC/SCo and nested quadrature for JD
     (N <= 4; larger N is refused rather than falling back to a noisy
@@ -78,16 +74,13 @@ def achievable_rate_exact(combiner, topology: Topology, p_out: float,
     of ``scipy.optimize.bisect`` with ``xtol=1e-6`` and its default rtol.
     """
     combiner = Combiner.parse(combiner)
-    if not 0.0 < p_out < 1.0:
-        raise DomainError("p_out must lie in (0, 1)")
-    lo, hi = rate_bracket
-    if not 0 < lo < hi:
-        raise DomainError("rate_bracket must satisfy 0 < lo < hi")
+    _require_probability("p_out", p_out)
+    lo, hi = DEFAULT_RATE_BRACKET
     snrs = average_snrs(topology)
 
     if combiner is Combiner.JD:
         def exact(r_c: float) -> float:
-            return outage_jd_quadrature(snrs, r_c, rel_tol=jd_rel_tol).value
+            return outage_jd_quadrature(snrs, r_c).value
     else:
         def exact(r_c: float) -> float:
             return outage_exact_closed(combiner, snrs, r_c).value
@@ -126,10 +119,9 @@ def throughput_asymptotic(combiner, avg_snrs: Sequence[float], p_out: float,
         achieved_rate=rate, method="asymptotic")
 
 
-def throughput_exact(combiner, topology: Topology, p_out: float,
-                     rate_bracket: tuple[float, float] = DEFAULT_RATE_BRACKET) -> ThroughputResult:
-    rate = achievable_rate_exact(combiner, topology, p_out,
-                                 rate_bracket=rate_bracket)
+def throughput_exact(combiner, topology: Topology,
+                     p_out: float) -> ThroughputResult:
+    rate = achievable_rate_exact(combiner, topology, p_out)
     return ThroughputResult(
         throughput=throughput_from_rate(topology.bandwidth, rate, p_out),
         achieved_rate=rate, method="exact-root")

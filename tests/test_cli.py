@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -111,9 +112,33 @@ class TestValidationExits:
         ("gain", "--rate-range", "0.5:2000:3"),
         ("outage", "--method", "asymptotic", "--n-links", "3",
          "--snr-db-range", "-3000:-2990:2"),
+        ("cdf", "--outage", "1e-3", "--bandwidth-hz", "nan"),
+        ("gain", "--n-links", "2", "--distances", "nan,1"),
+        ("gain", "--n-links", "2", "--distances", "inf,1"),
+        ("outage", "--method", "asymptotic", "--combiner", "sc",
+         "--n-links", "2", "--rate", "600"),
+        ("dmt", "--empirical", "--snr-db-range", "-3000:-2990:2"),
+        ("dmt", "--empirical", "--snr-db-range", "2990:3000:2"),
+        ("outage", "--method", "exact", "--snr-db-range", "3070:3080:2",
+         "--rate", "2000"),
+        ("throughput", "--method", "exact", "--combiner", "jd",
+         "--n-links", "5"),
+        ("cdf", "--outage", "1e-3", "--bandwidth-hz", "inf"),
+        ("throughput", "--seed", "1"),
+        ("outage", "--bandwidth-hz", "1e6"),
+        ("outage", "--n-links", "2", "--distances", "a,b"),
+        ("outage", "--snr-db-range", "0:inf:3"),
     ])
     def test_exit_code_2(self, capsys, argv):
         assert cli.main(list(argv)) == 2
+
+    def test_jd_rate_overflow_warns_nothing(self, capsys):
+        # A_1(2000) = 2^2000 - 1 overflows; numpy used to warn and exit 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["outage", "--method", "exact", "--snr-db-range",
+                             "3070:3080:2", "--rate", "2000"]) == 2
+        assert "overflows" in capsys.readouterr().err
 
     def test_trace_with_underflowed_snr_product_exits_2(self, tmp_path,
                                                           capsys):

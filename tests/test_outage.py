@@ -14,8 +14,8 @@ from scipy.integrate import quad
 
 from multiconn import link_model, outage
 from multiconn.combiners import Combiner
-from multiconn.exceptions import (DegenerateSpacingError, DomainError,
-                                  QuadratureError, UnsupportedLinkCountError)
+from multiconn.exceptions import (DomainError, QuadratureError,
+                                  UnsupportedLinkCountError)
 from multiconn.link_model import CHUNK_SIZE, Link, Topology, average_snrs
 from multiconn.outage import (OutageEstimate, asymptotic_outage_value,
                               instantaneous_capacity, outage_asymptotic,
@@ -369,8 +369,6 @@ class TestJdQuadrature:
             outage_jd_quadrature([], 1.0)
         with pytest.raises(DomainError):
             outage_jd_quadrature([-1.0], 1.0)
-        with pytest.raises(DomainError):
-            outage_jd_quadrature([1.0], 1.0, rel_tol=0.5)
 
     @pytest.mark.parametrize("snrs,r_c", [
         ([5.0, 9.0], math.nan), ([5.0, 9.0], math.inf),
@@ -530,11 +528,6 @@ class TestExactClosed:
     def test_non_finite_input_rejected(self, combiner, snrs, r_c):
         with pytest.raises(DomainError):
             outage_exact_closed(combiner, snrs, r_c)
-
-    def test_degenerate_fallback_opt_out(self):
-        with pytest.raises(DegenerateSpacingError):
-            outage_exact_closed("mrc", [10.0, 10.0 * (1 + 1e-5)], 1.0,
-                                degenerate_fallback=False)
 
     def test_zero_rate(self):
         assert outage_exact_closed("sc", [5.0], 0.0).value == 0.0
