@@ -2,6 +2,8 @@
 
 import enum
 
+from .exceptions import DomainError
+
 
 class Combiner(enum.Enum):
     """Receiver-side combining scheme across the parallel links.
@@ -17,11 +19,12 @@ class Combiner(enum.Enum):
 
     @classmethod
     def parse(cls, name):
-        """Accept a Combiner instance or a case-insensitive name string."""
+        """Accept a Combiner instance or a case-insensitive name string;
+        DomainError for any other name."""
         if isinstance(name, cls):
             return name
         try:
             return cls(str(name).strip().lower())
         except ValueError:
-            raise ValueError(f"unknown combiner {name!r}; expected one of "
-                             f"{[c.value for c in cls]}") from None
+            raise DomainError(f"unknown combiner {name!r}; expected one of "
+                              f"{[c.value for c in cls]}") from None

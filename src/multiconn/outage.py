@@ -130,6 +130,22 @@ def outage_monte_carlo(combiner, topology: Topology, r_c: float,
                           low_event_count=events < _LOW_EVENT_THRESHOLD)
 
 
+def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (nodes, weights) of the composite rule of ``panels``
+    equal panels on [0, 1]."""
+    nodes = ((np.arange(panels)[:, None] + 0.5 + 0.5 * _GL_NODES)
+             / panels).ravel()
+    weights = np.tile(0.5 * _GL_WEIGHTS / panels, panels)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+# The rules of 1 to 256 panels (16 to 4096 nodes, 128 KiB in all) are built
+# once; a larger one is built per estimate and dropped, so that a hard
+# integral whose panels double toward _MAX_NODES cannot pin a large table.
+_RULES = {1 << k: _panel_rule(1 << k) for k in range(9)}
+
+
 def _nested_sum(levels, innermost, total: float, rules) -> float:
     # One estimate: level k runs the (nodes, weights) of rules[k] on [0, 1]
     # scaled to [0, min(remaining, cap_k)] at every node of the levels above.
@@ -155,13 +171,18 @@ def _nested_integral(levels, innermost, total: float,
     Composite Gauss-Legendre on equal panels, each level evaluated over all
     nodes of the level above at once. The panel count doubles until two
     successive estimates agree to ``rel_tol``; returns the finer one and
-    their difference. QuadratureError once that would pass _MAX_NODES.
+    their difference. QuadratureError once that would pass _MAX_NODES, and
+    before any work where not even two estimates fit under it.
     """
+    two_panels = (2 * _GL_NODES.size) ** len(levels)
+    if two_panels > _MAX_NODES:
+        raise QuadratureError(
+            f"{len(levels)} nested levels cannot give two estimates: 2 panels "
+            f"per level take {two_panels} nodes, above the cap of "
+            f"{_MAX_NODES}")
     panels, value, err = 1, math.nan, math.nan
     while (_GL_NODES.size * panels) ** len(levels) <= _MAX_NODES:
-        nodes = ((np.arange(panels)[:, None] + 0.5 + 0.5 * _GL_NODES)
-                 / panels).ravel()
-        weights = np.tile(0.5 * _GL_WEIGHTS / panels, panels)
+        nodes, weights = _RULES.get(panels) or _panel_rule(panels)
         inner = [(nodes, weights)] * max(len(levels) - 1, 0)
         block = max(1, _BLOCK_NODES // nodes.size ** len(inner))
         estimate = sum(
@@ -175,6 +196,16 @@ def _nested_integral(levels, innermost, total: float,
     raise QuadratureError(
         f"requested rel_tol {rel_tol} not achieved within {panels // 2} "
         f"panels per level (last change {err:.3g} on value {value:.3g})")
+
+
+def _rate_share_density(mean: float):
+    # Density of x = log2(1 + gamma) for gamma ~ Exp(mean).
+    scale = LN2 / mean
+
+    def density(x: np.ndarray) -> np.ndarray:
+        y = x * LN2
+        return scale * np.exp(y - np.expm1(y) / mean)
+    return density
 
 
 def outage_jd_quadrature(avg_snrs: Sequence[float],
@@ -202,8 +233,7 @@ def outage_jd_quadrature(avg_snrs: Sequence[float],
         raise DomainError(f"A_1({r_c}) overflows a float") from None
 
     # Density and range of each rate share x = log2(1 + gamma).
-    levels = [(lambda x, mean=mean: LN2 / mean
-               * np.exp(x * LN2 - np.expm1(x * LN2) / mean),
+    levels = [(_rate_share_density(mean),
                math.log2(1.0 + _JD_TAIL_MEANS * mean)) for mean in snrs]
     last = snrs[-1]
 

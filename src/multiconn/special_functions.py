@@ -29,7 +29,8 @@ _INVERSE_MAX_ITER = 200
 
 
 def exp_sum(n: int, x: float) -> float:
-    """Partial sum of the exponential series: sum_{k=0}^{n-1} x^k / k!."""
+    """Partial sum of the exponential series: sum_{k=0}^{n-1} x^k / k!.
+    DomainError where a partial sum overflows a float."""
     _require_count("n", n, 1)
     _require_finite("x", x)
     term = 1.0
@@ -37,6 +38,8 @@ def exp_sum(n: int, x: float) -> float:
     for k in range(1, n):
         term *= x / k
         total += term
+    if not math.isfinite(total):
+        raise DomainError(f"exp_sum({n}, {x!r}) overflows a float")
     return total
 
 

@@ -19,7 +19,7 @@ from multiconn.outage import (asymptotic_outage_value, outage_asymptotic,
 from multiconn.special_functions import (coding_constant,
                                          coding_constant_inverse,
                                          coding_constant_slope, coding_gain,
-                                         lambert_w_asymptotic,
+                                         exp_sum, lambert_w_asymptotic,
                                          lambert_w_upper_branch)
 from multiconn.throughput import (achievable_rate_asymptotic,
                                   throughput_from_rate)
@@ -39,7 +39,7 @@ PROB = st.one_of(REAL, st.floats(1e-12, 0.999))
 COUNT = st.one_of(st.integers(-2, 40),
                   st.sampled_from([2.5, 1.0, math.nan, math.inf, True]))
 SNRS = st.lists(REAL, max_size=5)
-COMBINER = st.sampled_from(["jd", "sc", "mrc", "sco"])
+COMBINER = st.sampled_from(["jd", "sc", "mrc", "sco", "bogus"])
 
 
 def _query(d):
@@ -78,6 +78,7 @@ CASES = {
         lambda d: coding_constant_inverse(
             d.draw(COUNT), d.draw(REAL),
             mode=d.draw(st.sampled_from(["refined", "paper"]))), _positive),
+    "exp_sum": (lambda d: exp_sum(d.draw(COUNT), d.draw(REAL)), _finite),
     "coding_gain": (
         lambda d: coding_gain(d.draw(COMBINER), d.draw(COUNT), d.draw(REAL)),
         _positive),

@@ -4,6 +4,7 @@ import os
 import queue
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -21,7 +22,8 @@ from multiconn.outage import (OutageEstimate, asymptotic_outage_value,
                               instantaneous_capacity, outage_asymptotic,
                               outage_exact_closed, outage_jd_lower_bound_tse,
                               outage_jd_quadrature, outage_monte_carlo)
-from multiconn.special_functions import coding_constant
+from multiconn.selftest import _coding_constant_quadrature
+from multiconn.special_functions import LN2, coding_constant
 
 # High-precision reference values (frozen from 40-digit arithmetic).
 JD_QUAD_ORACLE = {
@@ -408,6 +410,100 @@ class TestJdQuadrature:
             outage_jd_quadrature([5.0, 9.0], 1.0)
         with pytest.raises(QuadratureError):
             outage_exact_closed("mrc", [5.0, 5.0 * (1 + 1e-6)], 1.0)
+
+
+def _per_call_rule(panels):
+    # The composite rule built anew for each estimate: the reference for the
+    # rule table.
+    nodes = ((np.arange(panels)[:, None] + 0.5 + 0.5 * outage._GL_NODES)
+             / panels).ravel()
+    weights = np.tile(0.5 * outage._GL_WEIGHTS / panels, panels)
+    return nodes, weights
+
+
+def _per_call_density(mean):
+    # The JD rate-share density with x * LN2 evaluated twice: the reference
+    # for the density that evaluates it once.
+    return lambda x: LN2 / mean * np.exp(x * LN2 - np.expm1(x * LN2) / mean)
+
+
+def _per_call(monkeypatch, func, *args):
+    with monkeypatch.context() as patch:
+        patch.setattr(outage, "_RULES", {})
+        patch.setattr(outage, "_panel_rule", _per_call_rule)
+        patch.setattr(outage, "_rate_share_density", _per_call_density)
+        return func(*args)
+
+
+def _grid(n, count, seed):
+    # Seeded SNRs in 0..40 dB and rates log-uniform in 1e-6..64.
+    rng = np.random.default_rng(seed)
+    return [(list(10.0 ** (rng.uniform(0.0, 40.0, n) / 10.0)),
+             float(10.0 ** rng.uniform(-6.0, math.log10(64.0))))
+            for _ in range(count)]
+
+
+class TestRuleTable:
+    """The rules built once give every value the bits of rules built per
+    estimate."""
+
+    @pytest.mark.parametrize("n,count", [(2, 12), (3, 8), (4, 3)])
+    def test_jd_bits(self, monkeypatch, n, count):
+        for snrs, r_c in _grid(n, count, seed=100 + n):
+            assert outage_jd_quadrature(snrs, r_c).value == _per_call(
+                monkeypatch, outage_jd_quadrature, snrs, r_c).value
+
+    @pytest.mark.parametrize("n,count", [(2, 8), (3, 6), (4, 4), (5, 2),
+                                         (6, 1)])
+    def test_degenerate_mrc_bits(self, monkeypatch, n, count):
+        for snrs, r_c in _grid(1, count, seed=200 + n):
+            spaced = [snrs[0] * (1.0 + j * 1e-6) for j in range(n)]
+            assert outage._spacing_kind(spaced) == "degenerate"
+            assert outage_exact_closed("mrc", spaced, r_c).value == _per_call(
+                monkeypatch, outage_exact_closed, "mrc", spaced, r_c).value
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_selftest_oracle_bits(self, monkeypatch, n):
+        for _, r_c in _grid(1, 8, seed=300 + n):
+            assert _coding_constant_quadrature(n, r_c) == _per_call(
+                monkeypatch, _coding_constant_quadrature, n, r_c)
+
+    def test_rules_are_read_only(self):
+        assert sorted(outage._RULES) == [1 << k for k in range(9)]
+        for panels, (nodes, weights) in outage._RULES.items():
+            assert nodes.size == weights.size == 16 * panels
+            for array in (nodes, weights):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+
+    def test_larger_rules_are_not_retained(self, monkeypatch):
+        # sqrt's endpoint singularity needs 512, 1024 and 2048 panels.
+        built, panel_rule = [], outage._panel_rule
+
+        def spy(panels):
+            rule = panel_rule(panels)
+            built.append((panels, weakref.ref(rule[0]), weakref.ref(rule[1])))
+            return rule
+
+        monkeypatch.setattr(outage, "_panel_rule", spy)
+        value, _ = outage._nested_integral([(np.ones_like, math.inf)],
+                                           np.sqrt, 1.0, 1e-9)
+        assert value == pytest.approx(2.0 / 3.0, rel=1e-9)
+        assert [panels for panels, *_ in built] == [512, 1024, 2048]
+        assert all(ref() is None for _, *refs in built for ref in refs)
+        assert sorted(outage._RULES) == [1 << k for k in range(9)]
+
+    def test_no_estimate_when_two_cannot_fit(self, monkeypatch):
+        # Six levels: one 16-node panel each fits under the cap (2^24), two
+        # (2^30) do not, so the call raises before any estimate.
+        calls = []
+        monkeypatch.setattr(outage, "_nested_sum",
+                            lambda *args: calls.append(args))
+        with pytest.raises(QuadratureError,
+                           match=r"6 nested levels.*cap of 67108864"):
+            outage_exact_closed("mrc", [1 + k * 1e-6 for k in range(7)], 1.0)
+        assert calls == []
 
 
 class TestAsymptote:
