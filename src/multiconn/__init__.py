@@ -12,7 +12,7 @@ from .exceptions import (BracketError, ConvergenceError, DomainError,
                          UnsupportedLinkCountError)
 from .field_trial import (EmpiricalCdf, SnrModelParams, SnrTrace,
                           empirical_outage_cdf, empirical_throughput_cdf,
-                          load_trace, strongest_links, synthesize_trace)
+                          load_trace, synthesize_trace)
 from .gains_dmt import (DmtPoint, GainQuery, dmt, dmt_empirical,
                         gain_slope_wrt_outage, gain_slope_wrt_rate,
                         required_total_snr, snr_gain_jd_vs, snr_gain_mco_sco,
@@ -34,8 +34,7 @@ __all__ = [
     "BracketError", "ConvergenceError", "DomainError", "QuadratureError",
     "TraceError", "UnsupportedLinkCountError",
     "EmpiricalCdf", "SnrModelParams", "SnrTrace", "empirical_outage_cdf",
-    "empirical_throughput_cdf", "load_trace", "strongest_links",
-    "synthesize_trace",
+    "empirical_throughput_cdf", "load_trace", "synthesize_trace",
     "DmtPoint", "GainQuery", "dmt", "dmt_empirical", "gain_slope_wrt_outage",
     "gain_slope_wrt_rate", "required_total_snr", "snr_gain_jd_vs",
     "snr_gain_mco_sco", "snr_gain_mco_sco_approx",

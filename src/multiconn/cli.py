@@ -52,9 +52,11 @@ def _parse_range(spec: str) -> list[float]:
     return [float(x) for x in np.linspace(start, stop, steps)]
 
 
-def _parse_distances(spec, n_links) -> dict[int, list[float]]:
+def _parse_distances(spec, n_links) -> list[float]:
+    """The per-link distances, one per link of every count in ``n_links``
+    (unit distances if ``spec`` is None); a count n takes the first n."""
     if spec is None:
-        return {n: [1.0] * n for n in n_links}
+        return [1.0] * max(n_links)
     try:
         values = [float(x) for x in spec.split(",")]
     except ValueError:
@@ -66,15 +68,14 @@ def _parse_distances(spec, n_links) -> dict[int, list[float]]:
             raise DomainError(
                 f"--distances has {len(values)} entries but --n-links "
                 f"includes {n}")
-    return {n: values for n in n_links}
+    return values
 
 
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -83,20 +84,6 @@ def _emit(text: str, out) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         click.echo(text, nl=False)
-
-
-def _write_gnuplot(out: str, header) -> None:
-    script = [
-        "set datafile separator ','",
-        "set key autotitle columnhead",
-        "set logscale y",
-        f"plot " + ", ".join(
-            f"'{Path(out).name}' using 1:{i + 2} with lines"
-            for i in range(len(header) - 2)),
-        "pause -1",
-    ]
-    Path(out).with_suffix(".gp").write_text("\n".join(script) + "\n",
-                                            encoding="utf-8")
 
 
 def _fmt(value: float) -> str:
@@ -114,9 +101,8 @@ _UNDEFINED = {("bound", Combiner.SC), ("bound", Combiner.SCO),
               ("paper-approx", Combiner.SCO)}
 
 
-def _normalize_plan(combiners, n_links,
-                    methods) -> list[tuple[Combiner, int, str]]:
-    plan = []
+def _entries(combiners, n_links, methods):
+    """The (combiner, link count, method) entries of an SNR sweep, in order."""
     for n in n_links:
         _require_count("--n-links", n, 1)
         for name in combiners:
@@ -125,10 +111,69 @@ def _normalize_plan(combiners, n_links,
                 if (method, combiner) in _UNDEFINED:
                     raise DomainError(f"method {method!r} is not defined "
                                       f"for {combiner.value}")
-                entry = (combiner, _plan_n(combiner, n), method)
-                if entry not in plan:
-                    plan.append(entry)
+                yield combiner, _plan_n(combiner, n), method
+
+
+def _column(combiner, n, method) -> str:
+    return f"{combiner.value}_n{n}_{method}"
+
+
+def _plan(entries, name) -> dict:
+    """The entries by ``name(*entry)``, in order, each kept once;
+    DomainError where two different entries get the same name."""
+    plan = {}
+    for entry in entries:
+        key = name(*entry)
+        if plan.setdefault(key, entry) != entry:
+            raise DomainError(f"two different columns are named {key!r}")
     return plan
+
+
+def _links(plan, n_links, spec, eta, bandwidth):
+    """A function of the total SNR in dB giving each of the plan's link
+    counts its equal-power topology and per-link average SNRs. --distances
+    must match --n-links and every plan count but SCo's 1, which is link 1
+    alone with the whole transmit power."""
+    distances = _parse_distances(spec, set(n_links) | {
+        n for c, n, _ in plan.values() if c is not Combiner.SCO})
+    counts = {n for _, n, _ in plan.values()}
+
+    def point(snr_db):
+        total = db_to_linear(snr_db)
+        links = {}
+        for n in counts:
+            topo = equal_power_topology(total, distances[:n], eta, bandwidth)
+            links[n] = topo, [link.average_snr for link in topo.links]
+        return links
+    return point
+
+
+def _sweep(axis, grid, point, plan, suffixes, cell, out, gnuplot,
+           flags=True) -> None:
+    """Write the CSV of a sweep: per grid point x (the i-th), x and then
+    the values of ``cell(point(x), i, j, entry)`` for the j-th plan entry,
+    one column per suffix of ``suffixes(*entry)``; then, unless ``flags``
+    is false, a column of each entry's flags as ``name:flag``."""
+    header = [axis] + [key + suffix for key, entry in plan.items()
+                       for suffix in suffixes(*entry)]
+    rows = []
+    for i, x in enumerate(grid):
+        at = point(x)
+        row, notes = [_fmt(x)], []
+        for j, (key, entry) in enumerate(plan.items()):
+            values, entry_flags = cell(at, i, j, entry)
+            for value in values:
+                row.append(_fmt(value))
+            if entry_flags:
+                notes += [f"{key}:{flag}" for flag in entry_flags]
+        rows.append(row + [";".join(notes)] if flags else row)
+    _emit(_csv_text(header + ["flags"] if flags else header, rows), out)
+    if gnuplot and out:
+        plots = ", ".join(f"'{Path(out).name}' using 1:{k} with lines"
+                          for k in range(2, len(header) + 1))
+        Path(out).with_suffix(".gp").write_text(
+            "set datafile separator ','\nset key autotitle columnhead\n"
+            f"set logscale y\nplot {plots}\npause -1\n", encoding="utf-8")
 
 
 # Figure-reproduction presets: pinned parameters, modest default fidelity.
@@ -226,60 +271,35 @@ def outage_cmd(preset, n_links, rate, combiners, methods, snr_db_range,
                        combiners=combiners, methods=methods, rate=rate,
                        snr_db_range=snr_db_range, mc_samples=mc_samples,
                        seed=seed)
-    plan = plan or _normalize_plan(combiners, n_links, methods)
+    plan = _plan(plan or _entries(combiners, n_links, methods), _column)
     grid = _parse_range(snr_db_range)
-    dist_map = _parse_distances(distances, {n for _, n, _ in plan})
+    # Outage reads no bandwidth (1 Hz).
+    point = _links(plan, n_links, distances, eta, 1.0)
 
-    header = ["snr_db"]
-    for combiner, n, method in plan:
-        name = f"{combiner.value}_n{n}_{method}"
-        header.append(name)
+    def cell(links, i, j, entry):
+        combiner, n, method = entry
+        topo, gammas = links[n]
         if method == "mc":
-            header.append(name + "_ci")
-    header.append("flags")
+            est = outage_mod.outage_monte_carlo(
+                combiner, topo, rate, sample_count=mc_samples,
+                seed=seed + 1009 * i + j)
+            return (est.value, est.ci_half_width), est.flags
+        if method == "exact" and combiner is Combiner.JD:
+            est = outage_mod.outage_jd_quadrature(gammas, rate)
+        elif method == "exact":
+            est = outage_mod.outage_exact_closed(combiner, gammas, rate)
+        elif method == "bound" and combiner is Combiner.JD:
+            if max(gammas) - min(gammas) > 1e-12 * max(gammas):
+                raise DomainError(
+                    "the JD lower bound requires equal per-link SNRs")
+            est = outage_mod.outage_jd_lower_bound_tse(gammas[0], n, rate)
+        else:
+            est = outage_mod.outage_asymptotic(combiner, gammas, rate)
+        return (est.value,), est.flags
 
-    rows = []
-    for point_index, snr_db in enumerate(grid):
-        total = db_to_linear(snr_db)
-        row = [_fmt(snr_db)]
-        flags = []
-        # One topology per link count; outage reads no bandwidth (1 Hz).
-        topos = {n: equal_power_topology(total, dists, eta, 1.0)
-                 for n, dists in dist_map.items()}
-        for col_index, (combiner, n, method) in enumerate(plan):
-            topo = topos[n]
-            gammas = [link.average_snr for link in topo.links]
-            if method == "exact":
-                if combiner is Combiner.JD:
-                    est = outage_mod.outage_jd_quadrature(gammas, rate)
-                else:
-                    est = outage_mod.outage_exact_closed(combiner, gammas, rate)
-            elif method == "asymptotic":
-                est = outage_mod.outage_asymptotic(combiner, gammas, rate)
-            elif method == "bound":
-                if combiner is Combiner.JD:
-                    if max(gammas) - min(gammas) > 1e-12 * max(gammas):
-                        raise DomainError(
-                            "the JD lower bound requires equal per-link SNRs")
-                    est = outage_mod.outage_jd_lower_bound_tse(
-                        gammas[0], n, rate)
-                else:
-                    est = outage_mod.outage_asymptotic(combiner, gammas, rate)
-            else:
-                est = outage_mod.outage_monte_carlo(
-                    combiner, topo, rate, sample_count=mc_samples,
-                    seed=seed + 1009 * point_index + col_index)
-            row.append(_fmt(est.value))
-            if method == "mc":
-                row.append(_fmt(est.ci_half_width))
-            for flag in est.flags:
-                flags.append(f"{combiner.value}_n{n}_{method}:{flag}")
-        row.append(";".join(flags))
-        rows.append(row)
-
-    _emit(_csv_text(header, rows), out)
-    if gnuplot and out:
-        _write_gnuplot(out, header)
+    _sweep("snr_db", grid, point, plan,
+           lambda c, n, m: ("", "_ci") if m == "mc" else ("",), cell, out,
+           gnuplot)
 
 
 @cli.command("throughput")
@@ -305,47 +325,30 @@ def throughput_cmd(preset, n_links, p_out, combiners, methods, snr_db_range,
         "throughput", preset, plan=None, n_links=n_links, combiners=combiners,
         methods=methods, p_out=p_out, snr_db_range=snr_db_range,
         bandwidth_hz=bandwidth_hz)
-    plan = plan or _normalize_plan(combiners, n_links, methods)
+    plan = _plan(plan or _entries(combiners, n_links, methods), _column)
     _require_positive("--bandwidth-hz", bandwidth_hz)
     _require_probability("--outage", p_out)
     grid = _parse_range(snr_db_range)
-    dist_map = _parse_distances(distances, {n for _, n, _ in plan})
+    point = _links(plan, n_links, distances, eta, bandwidth_hz)
 
-    header = ["snr_db"]
-    header += [f"{c.value}_n{n}_{m}_bps" for c, n, m in plan]
-    header.append("flags")
+    def cell(links, i, j, entry):
+        combiner, n, method = entry
+        topo, gammas = links[n]
+        try:
+            if method == "exact":
+                result = throughput_exact(combiner, topo, p_out)
+            else:
+                result = throughput_asymptotic(
+                    combiner, gammas, p_out, bandwidth_hz,
+                    mode="paper" if method == "paper-approx" else "refined")
+        except (DomainError, BracketError):
+            # Low-SNR points where an asymptotic inverse is undefined
+            # still get a cell, flagged instead of dropped.
+            return (math.nan,), ("undefined",)
+        return (result.throughput,), ()
 
-    rows = []
-    for snr_db in grid:
-        total = db_to_linear(snr_db)
-        row = [_fmt(snr_db)]
-        flags = []
-        topos = {n: equal_power_topology(total, dists, eta, bandwidth_hz)
-                 for n, dists in dist_map.items()}
-        for combiner, n, method in plan:
-            topo = topos[n]
-            gammas = [link.average_snr for link in topo.links]
-            try:
-                if method == "exact":
-                    result = throughput_exact(combiner, topo, p_out)
-                elif method == "paper-approx":
-                    result = throughput_asymptotic(combiner, gammas, p_out,
-                                                   bandwidth_hz, mode="paper")
-                else:
-                    result = throughput_asymptotic(combiner, gammas, p_out,
-                                                   bandwidth_hz)
-                row.append(_fmt(result.throughput))
-            except (DomainError, BracketError):
-                # Low-SNR points where an asymptotic inverse is undefined
-                # still get a cell, flagged instead of dropped.
-                row.append(_fmt(float("nan")))
-                flags.append(f"{combiner.value}_n{n}_{method}:undefined")
-        row.append(";".join(flags))
-        rows.append(row)
-
-    _emit(_csv_text(header, rows), out)
-    if gnuplot and out:
-        _write_gnuplot(out, header)
+    _sweep("snr_db", grid, point, plan, lambda *entry: ("_bps",), cell, out,
+           gnuplot)
 
 
 @cli.command("gain")
@@ -366,43 +369,28 @@ def gain_cmd(preset, kinds, n_links, p_outs, rate_range, distances, eta,
         rate_range=rate_range)
     for p in p_outs:
         _require_probability("--outage", p)
+    for n in n_links:
+        _require_count("--n-links", n, 2)
+    plan = _plan(((kind, n, p) for kind in kinds for n in n_links
+                  for p in (p_outs if kind == "mco-sco" else (None,))),
+                 lambda kind, n, p: f"{kind.replace('-', '_')}_n{n}"
+                 + ("" if p is None else f"_p{p:.0e}"))
     grid = _parse_range(rate_range)
-    dist_map = _parse_distances(distances, set(n_links))
+    dists = _parse_distances(distances, set(n_links))
 
-    plan = []
-    for kind in kinds:
-        for n in n_links:
-            _require_count("--n-links", n, 2)
-            if kind == "mco-sco":
-                plan.extend((kind, n, p) for p in p_outs)
-            else:
-                plan.append((kind, n, None))
+    def cell(r_c, i, j, entry):
+        kind, n, p = entry
+        if kind == "mco-sco":
+            gain = snr_gain_mco_sco(GainQuery(
+                n_links=n, r_c=r_c, p_out=p, distances=tuple(dists[:n]),
+                eta=eta))
+        else:
+            gain = snr_gain_jd_vs(
+                Combiner.SC if kind == "jd-sc" else Combiner.MRC, n, r_c)
+        return (10.0 * math.log10(gain),), ()
 
-    header = ["rate"]
-    for kind, n, p in plan:
-        name = f"{kind.replace('-', '_')}_n{n}"
-        if p is not None:
-            name += f"_p{p:.0e}"
-        header.append(name + "_db")
-
-    rows = []
-    for r_c in grid:
-        row = [_fmt(r_c)]
-        for kind, n, p in plan:
-            if kind == "mco-sco":
-                query = GainQuery(n_links=n, r_c=r_c, p_out=p,
-                                  distances=tuple(dist_map[n]), eta=eta)
-                gain = snr_gain_mco_sco(query)
-            elif kind == "jd-sc":
-                gain = snr_gain_jd_vs(Combiner.SC, n, r_c)
-            else:
-                gain = snr_gain_jd_vs(Combiner.MRC, n, r_c)
-            row.append(_fmt(10.0 * math.log10(gain)))
-        rows.append(row)
-
-    _emit(_csv_text(header, rows), out)
-    if gnuplot and out:
-        _write_gnuplot(out, header)
+    _sweep("rate", grid, lambda r_c: r_c, plan, lambda *entry: ("_db",), cell,
+           out, gnuplot, flags=False)
 
 
 @cli.command("dmt")
@@ -542,10 +530,7 @@ def main(argv=None) -> int:
         return 0
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show(file=sys.stderr)
-        return 2
-    except click.ClickException as exc:
+    except click.ClickException as exc:  # a UsageError exits 2
         exc.show(file=sys.stderr)
         return exc.exit_code or 1
     except (DomainError, UnsupportedLinkCountError) as exc:

@@ -16,7 +16,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -84,16 +84,8 @@ class SnrTrace:
         order = order[np.argsort(mid[order], kind="stable")]
         ranked_mid = mid[order]
         starts = np.flatnonzero(np.r_[True, ranked_mid[1:] != ranked_mid[:-1]])
-        self._ids = ranked_mid[starts]
         self._bounds = np.append(starts, mid.size)
         self._ranked_snr = snr[order]
-
-    @classmethod
-    def from_records(cls, records: Iterable[TraceRecord]) -> "SnrTrace":
-        records = tuple(records)
-        return cls([r.measurement_id for r in records],
-                   [r.bs_id for r in records],
-                   [r.avg_snr_db for r in records])
 
     @property
     def records(self) -> "TraceRecords":
@@ -105,14 +97,6 @@ class SnrTrace:
             np.array_equal(a, b) for a, b in zip(
                 (self.measurement_id, self.bs_id, self.avg_snr_db),
                 (other.measurement_id, other.bs_id, other.avg_snr_db)))
-
-    def measurement_ids(self) -> list[int]:
-        return self._ids.tolist()
-
-    def entries_for(self, measurement_id: int) -> list[TraceRecord]:
-        """The rows of one measurement, in file order."""
-        rows = np.flatnonzero(self.measurement_id == measurement_id)
-        return [self.records[i] for i in rows.tolist()]
 
 
 class TraceRecords(Sequence):
@@ -278,30 +262,13 @@ def write_cdf(cdf: EmpiricalCdf, handle) -> None:
             cdf.values.tolist(), cdf.probabilities.tolist())]))
 
 
-def strongest_links(trace: SnrTrace, measurement_id: int,
-                    n: int) -> list[float]:
-    """The n largest average SNRs of one measurement, linear, descending.
-
-    Ties are broken by ascending base-station id for determinism.
-    """
-    _require_count("n", n, 1)
-    g = int(np.searchsorted(trace._ids, measurement_id))
-    found = g < trace._ids.size and trace._ids[g] == measurement_id
-    lo, hi = trace._bounds[g:g + 2] if found else (0, 0)
-    ranked = trace._ranked_snr[lo:hi]
-    if ranked.size < n:
-        raise TraceError(
-            f"measurement {measurement_id} has {ranked.size} links, "
-            f"need {n}")
-    return [db_to_linear(x) for x in ranked[:n].tolist()]
-
-
 def _strongest_rows(trace: SnrTrace, n: int,
                     combiner: Combiner) -> tuple[np.ndarray, int]:
-    """``strongest_links`` of every measurement with at least n links, in
-    id order, as one (rows, width) array (SCo keeps only the strongest),
-    and the count skipped. TraceError if no row is left, DomainError if a
-    linear SNR underflows to 0."""
+    """The n strongest links of every measurement with at least n links,
+    ranked as the constructor does and linear, in id order, as one
+    (rows, width) array (SCo keeps only the strongest), and the count
+    skipped. TraceError if no row is left, DomainError if a linear SNR
+    underflows to 0."""
     _require_count("n", n, 1)
     sizes = np.diff(trace._bounds)
     starts = trace._bounds[:-1][sizes >= n]
@@ -320,7 +287,7 @@ def empirical_outage_cdf(trace: SnrTrace, n: int, r_c: float,
     """Per-measurement outage on the n strongest links, as a CDF.
 
     Each value is bitwise that of ``outage_asymptotic`` (JD) or
-    ``outage_exact_closed`` on the measurement's ``strongest_links``."""
+    ``outage_exact_closed`` on the measurement's n strongest links."""
     combiner = Combiner.parse(combiner)
     _require_positive("r_c", r_c)
     rows, skipped = _strongest_rows(trace, n, combiner)

@@ -63,8 +63,13 @@ class Link:
 
     @property
     def average_snr(self) -> float:
-        """Average received SNR: power_ratio * distance^(-eta), linear."""
-        return self.power_ratio * self.distance ** (-self.path_loss_exponent)
+        """Average received SNR: power_ratio * distance^(-eta), linear;
+        DomainError where it overflows or underflows to 0."""
+        try:
+            snr = self.power_ratio * self.distance ** -self.path_loss_exponent
+        except OverflowError:
+            raise DomainError(f"Link.average_snr overflows: {self}") from None
+        return _require_positive("Link.average_snr", snr)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,7 @@ from scipy.integrate import quad
 
 from multiconn import cli
 from multiconn.field_trial import (EmpiricalCdf, empirical_outage_cdf,
-                                   strongest_links, synthesize_trace,
-                                   write_cdf)
+                                   synthesize_trace, write_cdf)
 from multiconn.gains_dmt import GainQuery, dmt, dmt_empirical, snr_gain_jd_vs, \
     snr_gain_mco_sco
 from multiconn.link_model import Link, Topology, db_to_linear, \
@@ -309,10 +308,17 @@ def test_10_inverse_fidelity():
 
 def test_11_field_trial_pipeline():
     trace = synthesize_trace(1000, 16, seed=7)
+    # Each measurement's links ranked by brute force: descending SNR, then
+    # ascending bs_id.
+    links = {}
+    for mid, bs, snr in zip(trace.measurement_id.tolist(),
+                            trace.bs_id.tolist(), trace.avg_snr_db.tolist()):
+        links.setdefault(mid, []).append((-snr, bs))
     violations = 0
-    for mid in trace.measurement_ids():
+    for mid in sorted(links):
+        ranked = sorted(links[mid])
         for n in (2, 3):
-            snrs = strongest_links(trace, mid, n)
+            snrs = [db_to_linear(-snr) for snr, _ in ranked[:n]]
             p_jd = outage_asymptotic("jd", snrs, 1.0).value
             p_mrc = outage_exact_closed("mrc", snrs, 1.0).value
             p_sc = outage_exact_closed("sc", snrs, 1.0).value

@@ -1,3 +1,6 @@
+import contextlib
+import csv
+import io
 import math
 import os
 import subprocess
@@ -6,11 +9,15 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from multiconn import cli
 from multiconn import outage as outage_mod
 from multiconn.field_trial import load_trace, save_trace, synthesize_trace
+from multiconn.link_model import db_to_linear
 from multiconn.selftest import run_selftest
+from multiconn.throughput import throughput_asymptotic
 
 
 def _run(capsys, *argv):
@@ -64,6 +71,27 @@ class TestOutageCommand:
         companion = out_path.with_suffix(".gp")
         assert companion.exists()
         assert out_path.name in companion.read_text()
+
+    def test_sco_column_with_distances(self, capsys):
+        # The SCo column is link 1 alone with the whole transmit power.
+        code, out = _run(capsys, "outage", "--combiner", "jd", "--combiner",
+                         "sco", "--method", "exact", "--n-links", "2",
+                         "--distances", "2,1", "--rate", "1",
+                         "--snr-db-range", "10:20:3")
+        assert code == 0
+        header, rows = _rows(out)
+        assert header == ["snr_db", "jd_n2_exact", "sco_n1_exact", "flags"]
+        for row in rows:
+            p_t = db_to_linear(float(row[0]))
+            assert row[2] == repr(outage_mod.outage_exact_closed(
+                "sco", [p_t * 2 ** -2.0], 1.0).value)
+
+    def test_duplicate_entries_kept_once(self, capsys):
+        code, out = _run(capsys, "outage", "--combiner", "sc", "--combiner",
+                         "sc", "--method", "asymptotic", "--method",
+                         "asymptotic", "--snr-db-range", "0:10:2")
+        assert code == 0
+        assert _rows(out)[0] == ["snr_db", "sc_n2_asymptotic", "flags"]
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         args = ["outage", "--combiner", "jd", "--method", "mc",
@@ -128,6 +156,14 @@ class TestValidationExits:
         ("outage", "--bandwidth-hz", "1e6"),
         ("outage", "--n-links", "2", "--distances", "a,b"),
         ("outage", "--snr-db-range", "0:inf:3"),
+        ("outage", "--n-links", "2", "--distances", "1e-300,1",
+         "--snr-db-range", "0:10:2"),
+        ("throughput", "--n-links", "2", "--distances", "1e-300,1",
+         "--snr-db-range", "0:10:2"),
+        ("gain", "--n-links", "2", "--distances", "1e-300,1",
+         "--rate-range", "1:2:2"),
+        ("outage", "--combiner", "sco", "--n-links", "3",
+         "--distances", "1,2"),
     ])
     def test_exit_code_2(self, capsys, argv):
         assert cli.main(list(argv)) == 2
@@ -162,6 +198,126 @@ class TestValidationExits:
         assert f"{path}:3: non-finite" in capsys.readouterr().err
 
 
+def _mostly(valid, invalid):
+    # A valid value nine times in ten, so that most argv reach exit 0.
+    return st.integers(0, 9).flatmap(lambda k: valid if k else invalid)
+
+
+def _option(draw, name, values):
+    # The option with one drawn value, or nothing.
+    value = draw(st.one_of(st.none(), values))
+    return [] if value is None else [name, str(value)]
+
+
+def _repeated(draw, name, values):
+    return [arg for value in draw(st.lists(values, max_size=3))
+            for arg in (name, str(value))]
+
+
+# Every size stays small: one linspace or synthetic trace of a large drawn
+# count would allocate gigabytes.
+@st.composite
+def _range(draw, low, high):
+    start = draw(_mostly(st.floats(low, high),
+                         st.sampled_from([-3000.0, 3070.0, math.nan])))
+    stop = start + draw(_mostly(st.sampled_from([5.0, 30.0]),
+                                st.sampled_from([-1.0, 0.0, math.inf])))
+    steps = draw(_mostly(st.integers(2, 8), st.integers(0, 1)))
+    return draw(_mostly(st.just(f"{start!r}:{stop!r}:{steps}"),
+                        st.sampled_from(["", "0:40", "a:b:2"])))
+
+
+_N_LINKS = _mostly(st.sampled_from([1, 2, 3]), st.sampled_from([0, 5]))
+_DISTANCES = _mostly(st.sampled_from(["2,1", "1,1.5,2.5", "3"]),
+                     st.sampled_from(["1e-300,1", "1e-150,1", "1e300,1",
+                                      "nan,1", "1,0", "a,b"]))
+_ETA = _mostly(st.sampled_from([2.0, 3.5]), st.sampled_from([0.0, math.nan]))
+_PROBABILITY = _mostly(st.sampled_from([1e-3, 1.2e-3, 1e-5, 1e-2]),
+                       st.sampled_from([0.0, 1.0, math.nan]))
+_COMBINER = st.sampled_from(["jd", "sc", "mrc", "sco"])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["outage", "throughput", "gain", "cdf"]))
+    argv = [command]
+    if command == "gain":
+        # gain needs two links or more.
+        argv += (_repeated(draw, "--n-links", _N_LINKS.map(lambda n: n + 1))
+                 + _repeated(draw, "--kind", st.sampled_from(cli._GAIN_KINDS))
+                 + _repeated(draw, "--outage", _PROBABILITY)
+                 + ["--rate-range", draw(_range(1e-3, 20.0))])
+    else:
+        argv += (_repeated(draw, "--n-links", _N_LINKS)
+                 + _repeated(draw, "--combiner", _COMBINER))
+    if command in ("outage", "throughput"):
+        methods = (cli._OUTAGE_METHODS if command == "outage"
+                   else cli._THROUGHPUT_METHODS)
+        argv += (_repeated(draw, "--method", st.sampled_from(methods))
+                 + ["--snr-db-range", draw(_range(-30.0, 80.0))])
+    if command == "outage":
+        argv += (_option(draw, "--rate", _mostly(
+                     st.floats(0.05, 8.0), st.sampled_from([600.0, 0.0])))
+                 + ["--mc-samples", str(draw(_mostly(
+                     st.integers(1000, 5000), st.sampled_from([-1, 999]))))]
+                 + _option(draw, "--seed", st.integers(-2**70, 2**70)))
+    if command == "throughput":
+        argv += _option(draw, "--outage", _PROBABILITY)
+    if command == "cdf":
+        metric = draw(_mostly(st.sampled_from([["--rate", "1.5"],
+                                               ["--outage", "1e-3"]]),
+                              st.sampled_from([[], ["--rate", "1", "--outage",
+                                                    "1e-3"]])))
+        argv += (metric + ["--synth-measurements", str(draw(_mostly(
+                     st.integers(1, 50), st.integers(-1, 0))))]
+                 + _option(draw, "--synth-bs", _mostly(st.integers(1, 8),
+                                                       st.just(0)))
+                 + draw(_mostly(st.just([]), st.just(
+                     ["--trace", "no-such-trace.csv"]))))
+    elif draw(st.integers(0, 3)) == 0:
+        argv += (_option(draw, "--distances", _DISTANCES)
+                 + _option(draw, "--eta", _ETA))
+    if command in ("throughput", "cdf"):
+        argv += _option(draw, "--bandwidth-hz", _mostly(
+            st.just(1e6), st.sampled_from([0.0, math.inf])))
+    preset = draw(_mostly(st.none(), st.sampled_from(
+        ["nope", "fig2a", "fig2b", "fig3a", "fig5c"])))
+    return argv + ([] if preset is None else ["--preset", preset])
+
+
+def _csv_blocks(text):
+    # The CSV tables of an output: one per '# ' section of a cdf output.
+    blocks = [[]]
+    for line in text.splitlines():
+        if line.startswith("# "):
+            blocks.append([])
+        else:
+            blocks[-1].append(line)
+    return [list(csv.reader(lines)) for lines in blocks if lines]
+
+
+class TestExitCodes:
+    # Any argv of the sweep and CDF commands exits 0, 2, 3 or 4, raises
+    # nothing, and on success writes rows as wide as their header.
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=_argv())
+    @example(argv=["outage", "--n-links", "2", "--distances", "1e-300,1",
+                   "--snr-db-range", "0:10:2"])
+    @example(argv=["throughput", "--n-links", "2", "--distances",
+                   "1e-300,1", "--snr-db-range", "0:10:2"])
+    def test_exit_code_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2, 3, 4), (code, err.getvalue())
+        if code == 0:
+            blocks = _csv_blocks(out.getvalue())
+            assert blocks
+            for header, *rows in blocks:
+                assert all(len(row) == len(header) for row in rows)
+
+
 class TestThroughputCommand:
     def test_preset_has_undefined_low_snr_cells(self, capsys):
         code, out = _run(capsys, "throughput", "--preset", "fig2b",
@@ -171,6 +327,18 @@ class TestThroughputCommand:
         assert header[0] == "snr_db"
         assert any("undefined" in r[-1] for r in rows)
         assert any(v == "nan" for r in rows for v in r[1:-1])
+
+    def test_sco_column_with_distances(self, capsys):
+        code, out = _run(capsys, "throughput", "--combiner", "sco",
+                         "--n-links", "3", "--distances", "3,1,2",
+                         "--outage", "1e-3", "--snr-db-range", "20:30:2")
+        assert code == 0
+        header, rows = _rows(out)
+        assert header == ["snr_db", "sco_n1_asymptotic_bps", "flags"]
+        for row in rows:
+            p_t = db_to_linear(float(row[0]))
+            assert row[1] == repr(throughput_asymptotic(
+                "sco", [p_t * 3 ** -2.0], 1e-3, 20e6).throughput)
 
     def test_exact_tracks_asymptotic_at_high_snr(self, capsys):
         code, out = _run(capsys, "throughput", "--combiner", "mrc",
@@ -194,6 +362,30 @@ class TestGainCommand:
             for row in rows:
                 gap = float(row[sc_col]) - float(row[mrc_col])
                 assert gap == pytest.approx(expected, abs=1e-9)
+
+    def test_duplicate_entries_kept_once(self, capsys):
+        code, out = _run(capsys, "gain", "--kind", "jd-sc", "--kind", "jd-sc",
+                         "--rate-range", "1:2:2")
+        assert code == 0
+        assert _rows(out)[0] == ["rate", "jd_sc_n2_db"]
+        code, out = _run(capsys, "gain", "--outage", "1e-3", "--outage",
+                         "1e-3", "--rate-range", "1:2:2")
+        assert code == 0
+        assert _rows(out)[0] == ["rate", "mco_sco_n2_p1e-03_db"]
+
+    def test_colliding_column_names_exit_2(self, capsys):
+        assert cli.main(["gain", "--outage", "1e-3", "--outage", "1.2e-3",
+                         "--rate-range", "1:2:2"]) == 2
+        assert "mco_sco_n2_p1e-03" in capsys.readouterr().err
+
+    def test_gnuplot_plots_every_column(self, tmp_path, capsys):
+        out_path = tmp_path / "gain.csv"
+        code, _ = _run(capsys, "gain", "--kind", "jd-sc", "--kind", "jd-mrc",
+                       "--rate-range", "1:2:2", "--out", str(out_path),
+                       "--gnuplot")
+        assert code == 0
+        script = out_path.with_suffix(".gp").read_text()
+        assert "using 1:2 " in script and "using 1:3 " in script
 
     def test_fig3a_columns(self, capsys):
         code, out = _run(capsys, "gain", "--preset", "fig3a")

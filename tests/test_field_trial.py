@@ -12,13 +12,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from multiconn import field_trial
 from multiconn.exceptions import DomainError, TraceError
+from multiconn.combiners import Combiner
 from multiconn.field_trial import (CDF_HEADER, TRACE_HEADER, EmpiricalCdf,
                                    SnrModelParams,
-                                   SnrTrace, TraceRecord,
+                                   SnrTrace, TraceRecord, _strongest_rows,
                                    empirical_outage_cdf,
                                    empirical_throughput_cdf, load_trace,
-                                   save_cdf, save_trace, strongest_links,
-                                   synthesize_trace, write_cdf)
+                                   save_cdf, save_trace, synthesize_trace,
+                                   write_cdf)
 from multiconn.link_model import db_to_linear
 from multiconn.outage import outage_asymptotic, outage_exact_closed
 from multiconn.throughput import (achievable_rate_asymptotic,
@@ -26,13 +27,15 @@ from multiconn.throughput import (achievable_rate_asymptotic,
 
 
 def _trace(rows):
-    return SnrTrace.from_records(TraceRecord(*row) for row in rows)
+    """A trace of (measurement_id, bs_id, avg_snr_db) rows, from columns."""
+    return SnrTrace(*map(list, zip(*rows)))
 
 
-SMALL_TRACE = _trace([
+SMALL_ROWS = [
     (0, "BS00", 20.0), (0, "BS01", 25.0), (0, "BS02", 15.0),
     (1, "BS00", 30.0), (1, "BS01", 10.0), (1, "BS02", 18.0),
-])
+]
+SMALL_TRACE = _trace(SMALL_ROWS)
 
 
 class TestTraceContainer:
@@ -42,14 +45,17 @@ class TestTraceContainer:
 
     def test_empty_rejected(self):
         with pytest.raises(TraceError):
-            SnrTrace.from_records(())
+            SnrTrace([], [], [])
 
     def test_measurement_ids_sorted(self):
-        assert SMALL_TRACE.measurement_ids() == [0, 1]
-
-    def test_entries_for(self):
-        entries = SMALL_TRACE.entries_for(1)
-        assert [e.bs_id for e in entries] == ["BS00", "BS01", "BS02"]
+        # CDF rows come in ascending measurement-id order, whatever the
+        # order of the rows in the file.
+        trace = _trace([(7, "BS00", 10.0), (-3, "BS00", 20.0),
+                        (2, "BS00", 30.0)])
+        rows, skipped = _strongest_rows(trace, 1, Combiner.SC)
+        assert rows[:, 0].tolist() == [db_to_linear(x) for x in (20.0, 30.0,
+                                                                 10.0)]
+        assert skipped == 0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_snr_rejected(self, bad):
@@ -197,22 +203,26 @@ class TestTraceIo:
 
 class TestStrongestLinks:
     def test_descending_linear_values(self):
-        snrs = strongest_links(SMALL_TRACE, 0, 2)
-        assert snrs == pytest.approx([db_to_linear(25.0), db_to_linear(20.0)])
+        rows, _ = _strongest_rows(SMALL_TRACE, 2, Combiner.SC)
+        assert rows.tolist() == [[db_to_linear(25.0), db_to_linear(20.0)],
+                                 [db_to_linear(30.0), db_to_linear(18.0)]]
 
     def test_tie_broken_by_bs_id(self):
         trace = _trace([(0, "BS01", 20.0), (0, "BS00", 20.0),
                         (0, "BS02", 10.0)])
-        assert strongest_links(trace, 0, 2) == pytest.approx(
-            [db_to_linear(20.0)] * 2)
+        rows, _ = _strongest_rows(trace, 2, Combiner.SC)
+        assert rows.tolist() == [[db_to_linear(20.0)] * 2]
 
     def test_too_few_links(self):
         with pytest.raises(TraceError):
-            strongest_links(SMALL_TRACE, 0, 4)
+            _strongest_rows(SMALL_TRACE, 4, Combiner.SC)
+        trace = _trace(SMALL_ROWS[:5])
+        rows, skipped = _strongest_rows(trace, 3, Combiner.SC)
+        assert (len(rows), skipped) == (1, 1)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            strongest_links(SMALL_TRACE, 0, 0)
+            _strongest_rows(SMALL_TRACE, 0, Combiner.SC)
 
 
 class TestEmpiricalCdf:
@@ -238,7 +248,7 @@ class TestOutageCdf:
     def test_values_match_direct_evaluation(self):
         cdf = empirical_outage_cdf(SMALL_TRACE, 2, 1.0, "sc")
         expected = sorted(
-            outage_exact_closed("sc", strongest_links(SMALL_TRACE, mid, 2),
+            outage_exact_closed("sc", _ref_strongest(SMALL_ROWS, mid, 2),
                                 1.0).value
             for mid in (0, 1))
         assert list(cdf.values) == pytest.approx(expected, rel=1e-14)
@@ -246,7 +256,7 @@ class TestOutageCdf:
     def test_joint_decoding_uses_asymptote(self):
         cdf = empirical_outage_cdf(SMALL_TRACE, 2, 1.0, "jd")
         expected = sorted(
-            outage_asymptotic("jd", strongest_links(SMALL_TRACE, mid, 2),
+            outage_asymptotic("jd", _ref_strongest(SMALL_ROWS, mid, 2),
                               1.0).value
             for mid in (0, 1))
         assert list(cdf.values) == pytest.approx(expected, rel=1e-14)
@@ -302,15 +312,15 @@ class TestThroughputCdf:
         cdf = empirical_throughput_cdf(SMALL_TRACE, 2, p, bandwidth, "mrc")
         expected = sorted(
             bandwidth * (1 - p) * achievable_rate_asymptotic(
-                "mrc", strongest_links(SMALL_TRACE, mid, 2), p)
+                "mrc", _ref_strongest(SMALL_ROWS, mid, 2), p)
             for mid in (0, 1))
         assert list(cdf.values) == pytest.approx(expected, rel=1e-14)
 
     def test_single_link_baseline_reads_strongest(self):
         cdf = empirical_throughput_cdf(SMALL_TRACE, 1, 1e-3, 20e6, "sco")
         expected = sorted(
-            20e6 * 0.999 * math.log2(1e-3 * strongest_links(
-                SMALL_TRACE, mid, 1)[0] + 1.0)
+            20e6 * 0.999 * math.log2(1e-3 * _ref_strongest(
+                SMALL_ROWS, mid, 1)[0] + 1.0)
             for mid in (0, 1))
         assert list(cdf.values) == pytest.approx(expected, rel=1e-14)
 
@@ -327,7 +337,7 @@ class TestSynthesizedTrace:
         b = synthesize_trace(10, 4, seed=5)
         assert a == b
         assert len(a.records) == 40
-        assert a.measurement_ids() == list(range(10))
+        assert np.unique(a.measurement_id).tolist() == list(range(10))
         assert synthesize_trace(10, 4, seed=6) != a
 
     def test_matches_one_draw_per_measurement(self):
@@ -359,8 +369,10 @@ class TestSynthesizedTrace:
     def test_per_row_combiner_ordering(self):
         # Sanity version of the full-pipeline ordering property.
         trace = synthesize_trace(100, 8, seed=7)
-        for mid in trace.measurement_ids():
-            snrs = strongest_links(trace, mid, 2)
+        rows = list(zip(trace.measurement_id.tolist(), trace.bs_id.tolist(),
+                        trace.avg_snr_db.tolist()))
+        for mid in range(100):
+            snrs = _ref_strongest(rows, mid, 2)
             p_jd = outage_asymptotic("jd", snrs, 1.0).value
             p_mrc = outage_exact_closed("mrc", snrs, 1.0).value
             p_sc = outage_exact_closed("sc", snrs, 1.0).value
@@ -444,17 +456,16 @@ class TestTraceProperties:
         assert len(trace.records) == len(rows)
         assert trace.records == tuple(TraceRecord(*row) for row in rows)
         ids = sorted({row[0] for row in rows})
-        assert trace.measurement_ids() == ids
-        assert trace.entries_for(5) == []
-        for mid in ids:
-            assert trace.entries_for(mid) == _ref_entries(rows, mid)
-            for n in range(1, 5):
-                expected = _ref_strongest(rows, mid, n)
-                if expected is None:
-                    with pytest.raises(TraceError):
-                        strongest_links(trace, mid, n)
-                else:
-                    assert strongest_links(trace, mid, n) == expected
+        for n in range(1, 5):
+            expected = [snrs for snrs in (_ref_strongest(rows, mid, n)
+                                          for mid in ids) if snrs is not None]
+            if not expected:
+                with pytest.raises(TraceError):
+                    _strongest_rows(trace, n, Combiner.SC)
+                continue
+            got, skipped = _strongest_rows(trace, n, Combiner.SC)
+            assert got.tolist() == expected
+            assert skipped == len(ids) - len(expected)
 
     @settings(max_examples=100, deadline=None)
     @given(rows=_trace_rows())

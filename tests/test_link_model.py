@@ -25,6 +25,15 @@ class TestLinkAndTopology:
         link = Link(power_ratio=100.0, distance=2.0, path_loss_exponent=3.0)
         assert link.average_snr == pytest.approx(100.0 / 8.0)
 
+    @pytest.mark.parametrize("power, distance", [
+        (1.0, 1e-300),   # distance ** -eta overflows (OverflowError)
+        (1e300, 1e-150),  # the product overflows to inf
+        (1.0, 1e300),    # distance ** -eta underflows to 0
+    ])
+    def test_average_snr_outside_float_range(self, power, distance):
+        with pytest.raises(DomainError, match="average_snr"):
+            Link(power, distance, 2.0).average_snr
+
     def test_link_validation(self):
         for bad in (dict(power_ratio=0.0, distance=1.0, path_loss_exponent=2.0),
                     dict(power_ratio=1.0, distance=-1.0, path_loss_exponent=2.0),

@@ -671,6 +671,52 @@ class TestBounds:
         assert p_jd <= p_mrc <= p_sc <= p_sco
 
 
+@st.composite
+def _snr_lists(draw):
+    # N = 1-4 average SNRs from 0 to 80 dB: equal, near-equal (relative
+    # gaps of 1e-8 to 1e-4) or distinct.
+    n = draw(st.integers(1, 4))
+    db = st.floats(0.0, 80.0)
+    mean = 10.0 ** (draw(db) / 10.0)
+    kind = draw(st.sampled_from(["equal", "near-equal", "distinct"]))
+    if kind == "equal":
+        return [mean] * n
+    if kind == "near-equal":
+        gap = draw(st.floats(1e-8, 1e-4))
+        return [mean * (1.0 + j * gap) for j in range(n)]
+    return [10.0 ** (x / 10.0)
+            for x in draw(st.lists(db, min_size=n, max_size=n))]
+
+
+def _exact(combiner, snrs, r_c):
+    if combiner == "jd":
+        return outage_jd_quadrature(snrs, r_c).value
+    return outage_exact_closed(combiner, snrs, r_c).value
+
+
+class TestCombinerOrder:
+    # For every fading draw C_JD >= C_SC >= C_SCo, so the exact outages obey
+    # P_JD <= P_SC <= P_SCo at every operating point; each is nondecreasing
+    # in R_c and nonincreasing when every SNR is scaled up. The slack is the
+    # JD quadrature's 1e-8 relative tolerance. MRC (between JD and SC) joins
+    # once its exact route no longer loses digits to cancellation at high
+    # SNR (ROADMAP item 2): it breaks the order today.
+    @settings(max_examples=150, deadline=None)
+    @given(snrs=_snr_lists(),
+           rates=st.lists(st.floats(1e-3, 16.0), min_size=2, max_size=2),
+           scale=st.floats(1.0, 1e3))
+    def test_order_and_monotonicity(self, snrs, rates, scale):
+        low, high = sorted(rates)
+        slack = 1.0 + 1e-8
+        p = {c: _exact(c, snrs, low) for c in ("jd", "sc", "sco")}
+        assert p["jd"] <= p["sc"] * slack
+        assert p["sc"] <= p["sco"] * slack
+        for combiner, value in p.items():
+            assert value <= _exact(combiner, snrs, high) * slack
+            scaled = [g * scale for g in snrs]
+            assert _exact(combiner, scaled, low) <= value * slack
+
+
 def test_estimate_flags():
     est = OutageEstimate(value=1.0, method="asymptotic", saturated=True,
                          low_event_count=True)
