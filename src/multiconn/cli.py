@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 I/O error.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import sys
@@ -27,10 +28,11 @@ from .exceptions import (BracketError, ConvergenceError, DomainError,
                          UnsupportedLinkCountError, _require_count,
                          _require_finite, _require_positive,
                          _require_probability)
-from .gains_dmt import (GainQuery, dmt, dmt_empirical, snr_gain_jd_vs,
-                        snr_gain_mco_sco)
+from .gains_dmt import (GainQuery, _jd_gain, _mco_sco_gain, dmt,
+                        dmt_empirical, snr_gain_jd_vs, snr_gain_mco_sco)
 from .link_model import db_to_linear, equal_power_topology
-from .throughput import throughput_asymptotic, throughput_exact
+from .special_functions import _coding_constants, _each, coding_constant
+from .throughput import _rate_inverse, throughput_asymptotic, throughput_exact
 
 _COMBINER_CHOICES = [c.value for c in Combiner]
 _OUTAGE_METHODS = ["exact", "asymptotic", "bound", "mc"]
@@ -86,10 +88,6 @@ def _emit(text: str, out) -> None:
         click.echo(text, nl=False)
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _plan_n(combiner: Combiner, n: int) -> int:
     # SCo is the single-link baseline regardless of the sweep's link counts.
     return 1 if combiner is Combiner.SCO else n
@@ -129,9 +127,12 @@ def _plan(entries, name) -> dict:
     return plan
 
 
-def _links(plan, n_links, spec, eta, bandwidth):
-    """A function of the total SNR in dB giving each of the plan's link
-    counts its equal-power topology and per-link average SNRs. --distances
+def _links(plan, n_links, spec, eta, bandwidth, grid):
+    """The per-link average SNRs of a sweep over the total SNR in dB, for
+    each of the plan's link counts: ``point(x)`` gives each count its
+    equal-power topology and SNRs at one point; ``columns()`` gives each
+    count its links' SNRs over the whole grid, as ``Link.average_snr``
+    computes them, and the points where ``point`` may raise. --distances
     must match --n-links and every plan count but SCo's 1, which is link 1
     alone with the whole transmit power."""
     distances = _parse_distances(spec, set(n_links) | {
@@ -145,29 +146,67 @@ def _links(plan, n_links, spec, eta, bandwidth):
             topo = equal_power_topology(total, distances[:n], eta, bandwidth)
             links[n] = topo, [link.average_snr for link in topo.links]
         return links
-    return point
+
+    @functools.cache
+    def columns():
+        # Where a point raises, eta is invalid or a power or SNR is nan,
+        # inf or 0.
+        total = _each(math.pow, 10.0, np.array(grid) / 10.0)
+        losses = _each(math.pow, np.array(distances), -eta).tolist()
+        snrs = {n: [total / n * loss for loss in losses[:n]] for n in counts}
+        bad = np.full(len(grid), not 0 < eta < math.inf)
+        for column in [total, *(c for cs in snrs.values() for c in cs)]:
+            bad |= ~((column > 0) & (column < math.inf))
+        return snrs, bad
+    return point, columns
 
 
-def _sweep(axis, grid, point, plan, suffixes, cell, out, gnuplot,
+def _sweep(axis, grid, point, plan, suffixes, cell, column, out, gnuplot,
            flags=True) -> None:
     """Write the CSV of a sweep: per grid point x (the i-th), x and then
-    the values of ``cell(point(x), i, j, entry)`` for the j-th plan entry,
-    one column per suffix of ``suffixes(*entry)``; then, unless ``flags``
-    is false, a column of each entry's flags as ``name:flag``."""
-    header = [axis] + [key + suffix for key, entry in plan.items()
-                       for suffix in suffixes(*entry)]
-    rows = []
-    for i, x in enumerate(grid):
-        at = point(x)
-        row, notes = [_fmt(x)], []
+    the j-th plan entry's values, one column per suffix of
+    ``suffixes(*entry)``; then, unless ``flags`` is false, a column of each
+    entry's flags as ``name:flag``.
+
+    ``column(entry)`` gives an entry's values over the whole grid, the
+    rows where they may differ from the per-point values, and the rows
+    flagged ``saturated`` (or None): ``(values, bad, saturated)``. It is
+    None for an entry evaluated per point. Such an entry's cells, the bad
+    cells and all cells of a column that raises DomainError or
+    ArithmeticError are ``cell(point(x), i, j, entry)``, a tuple of values
+    and one of flags, taken in grid order: the first error they raise is
+    the per-point route's."""
+    header, texts, notes, todo = [axis], [], [], []
+    with np.errstate(all="ignore"):
         for j, (key, entry) in enumerate(plan.items()):
-            values, entry_flags = cell(at, i, j, entry)
-            for value in values:
-                row.append(_fmt(value))
-            if entry_flags:
-                notes += [f"{key}:{flag}" for flag in entry_flags]
-        rows.append(row + [";".join(notes)] if flags else row)
-    _emit(_csv_text(header + ["flags"] if flags else header, rows), out)
+            header += [key + suffix for suffix in suffixes(*entry)]
+            try:
+                computed = column(entry)
+            except (DomainError, ArithmeticError):
+                computed = None
+            if computed is None:
+                texts.append([[""] * len(grid) for _ in suffixes(*entry)])
+                notes.append([""] * len(grid))
+                todo += [(i, j) for i in range(len(grid))]
+                continue
+            values, bad, saturated = computed
+            texts.append([list(map(repr, values.tolist()))])
+            notes.append([""] * len(grid) if saturated is None else np.where(
+                saturated, f";{key}:saturated", "").tolist())
+            todo += [(i, j) for i in np.flatnonzero(bad).tolist()]
+    entries, at = list(plan.items()), None
+    for i, j in sorted(todo):
+        if at != i:
+            links, at = point(grid[i]), i
+        values, entry_flags = cell(links, i, j, entries[j][1])
+        for text, value in zip(texts[j], values):
+            text[i] = repr(float(value))
+        notes[j][i] = "".join(f";{entries[j][0]}:{f}" for f in entry_flags)
+    columns = [list(map(repr, grid))] + [text for entry_texts in texts
+                                         for text in entry_texts]
+    if flags:
+        columns.append([note[1:] for note in map("".join, zip(*notes))])
+    _emit(_csv_text(header + ["flags"] * flags, zip(*columns)), out)
     if gnuplot and out:
         plots = ", ".join(f"'{Path(out).name}' using 1:{k} with lines"
                           for k in range(2, len(header) + 1))
@@ -274,7 +313,7 @@ def outage_cmd(preset, n_links, rate, combiners, methods, snr_db_range,
     plan = _plan(plan or _entries(combiners, n_links, methods), _column)
     grid = _parse_range(snr_db_range)
     # Outage reads no bandwidth (1 Hz).
-    point = _links(plan, n_links, distances, eta, 1.0)
+    point, columns = _links(plan, n_links, distances, eta, 1.0, grid)
 
     def cell(links, i, j, entry):
         combiner, n, method = entry
@@ -297,9 +336,25 @@ def outage_cmd(preset, n_links, rate, combiners, methods, snr_db_range,
             est = outage_mod.outage_asymptotic(combiner, gammas, rate)
         return (est.value,), est.flags
 
+    def column(entry):
+        combiner, n, method = entry
+        if method in ("mc", "exact"):
+            return None
+        snrs, bad = columns()
+        gammas = snrs[n]
+        if method == "bound" and combiner is Combiner.JD:
+            top = np.max(gammas, axis=0)
+            bad = bad | (top - np.min(gammas, axis=0) > 1e-12 * top)
+            return outage_mod._jd_lower_bound(
+                coding_constant(1, rate / n), gammas[0], n), bad, None
+        # DomainError where the rate is not positive or a product is 0.
+        _require_positive("r_c", rate)
+        value = outage_mod._asymptote(combiner, n, rate, math.prod(gammas))
+        return np.minimum(value, 1.0), bad, value > 1.0
+
     _sweep("snr_db", grid, point, plan,
-           lambda c, n, m: ("", "_ci") if m == "mc" else ("",), cell, out,
-           gnuplot)
+           lambda c, n, m: ("", "_ci") if m == "mc" else ("",), cell, column,
+           out, gnuplot)
 
 
 @cli.command("throughput")
@@ -329,7 +384,7 @@ def throughput_cmd(preset, n_links, p_out, combiners, methods, snr_db_range,
     _require_positive("--bandwidth-hz", bandwidth_hz)
     _require_probability("--outage", p_out)
     grid = _parse_range(snr_db_range)
-    point = _links(plan, n_links, distances, eta, bandwidth_hz)
+    point, columns = _links(plan, n_links, distances, eta, bandwidth_hz, grid)
 
     def cell(links, i, j, entry):
         combiner, n, method = entry
@@ -347,8 +402,19 @@ def throughput_cmd(preset, n_links, p_out, combiners, methods, snr_db_range,
             return (math.nan,), ("undefined",)
         return (result.throughput,), ()
 
-    _sweep("snr_db", grid, point, plan, lambda *entry: ("_bps",), cell, out,
-           gnuplot)
+    def column(entry):
+        combiner, n, method = entry
+        if method == "exact":
+            return None
+        snrs, bad = columns()
+        rate = _rate_inverse(
+            combiner, n, "paper" if method == "paper-approx" else "refined")(
+            p_out * math.prod(snrs[n]))
+        value = bandwidth_hz * rate * (1.0 - p_out)
+        return value, bad | ~((value >= 0) & (value < math.inf)), None
+
+    _sweep("snr_db", grid, point, plan, lambda *entry: ("_bps",), cell,
+           column, out, gnuplot)
 
 
 @cli.command("gain")
@@ -389,8 +455,23 @@ def gain_cmd(preset, kinds, n_links, p_outs, rate_range, distances, eta,
                 Combiner.SC if kind == "jd-sc" else Combiner.MRC, n, r_c)
         return (10.0 * math.log10(gain),), ()
 
+    rates = np.array(grid)
+    constants = functools.cache(lambda n: _coding_constants(n, rates))
+
+    def column(entry):
+        kind, n, p = entry
+        if kind == "mco-sco":
+            _require_positive("eta", eta)
+            gain = _mco_sco_gain(n, constants(1), constants(n), p,
+                                 tuple(d ** -eta for d in dists[:n]))
+        else:
+            gain = _jd_gain(Combiner.SC if kind == "jd-sc" else Combiner.MRC,
+                            n, constants(1), constants(n))
+        bad = ~(rates > 0) | ~((gain > 0) & (gain < math.inf))
+        return 10.0 * _each(math.log10, gain), bad, None
+
     _sweep("rate", grid, lambda r_c: r_c, plan, lambda *entry: ("_db",), cell,
-           out, gnuplot, flags=False)
+           column, out, gnuplot, flags=False)
 
 
 @cli.command("dmt")
@@ -418,13 +499,12 @@ def dmt_cmd(combiners, n_links, steps, empirical, snr_db_range, out):
         combiner = Combiner.parse(name)
         for n in n_links:
             r_max = float(n) if combiner is Combiner.JD else 1.0
-            for r in np.linspace(0.0, r_max, steps):
-                point = dmt(combiner, float(r), n)
-                row = [combiner.value, str(n), _fmt(r),
-                       _fmt(point.diversity_gain)]
+            for r in np.linspace(0.0, r_max, steps).tolist():
+                point = dmt(combiner, r, n)
+                row = [combiner.value, str(n), repr(r),
+                       repr(point.diversity_gain)]
                 if empirical:
-                    row.append(_fmt(dmt_empirical(combiner, float(r), n,
-                                                  grid_db)))
+                    row.append(repr(dmt_empirical(combiner, r, n, grid_db)))
                 rows.append(row)
 
     _emit(_csv_text(header, rows), out)

@@ -21,12 +21,12 @@ from typing import Optional
 import numpy as np
 
 from .combiners import Combiner
-from .exceptions import (TraceError, _require_count, _require_positive,
-                         _require_probability)
+from .exceptions import (TraceError, _require_count, _require_nonnegative,
+                         _require_positive, _require_probability)
 from .link_model import db_to_linear
 from .outage import _asymptote, _closed_form, outage_exact_closed
 from .special_functions import coding_constant
-from .throughput import _rate_inverse, throughput_from_rate
+from .throughput import _rate_inverse, throughput_asymptotic
 
 TRACE_HEADER = ("measurement_id", "bs_id", "avg_snr_db")
 CDF_HEADER = ("value", "probability")
@@ -311,17 +311,24 @@ def empirical_throughput_cdf(trace: SnrTrace, n: int, p_out: float,
                              bandwidth: float, combiner) -> EmpiricalCdf:
     """Per-measurement asymptotic throughput at a target outage, as a CDF.
 
-    Each value is bitwise that of ``throughput_from_rate`` at
-    ``achievable_rate_asymptotic`` of the measurement's strongest links."""
+    Each value is bitwise that of ``throughput_asymptotic`` on the
+    measurement's strongest links. All rows are inverted at once; a row
+    that the inverse cannot take is recomputed by that function, which
+    raises its error at the first row where it raises."""
     combiner = Combiner.parse(combiner)
     _require_probability("p_out", p_out)
     _require_positive("bandwidth", bandwidth)
     rows, skipped = _strongest_rows(trace, n, combiner)
-    rate = _rate_inverse(combiner, rows.shape[1])
-    return EmpiricalCdf.from_samples(
-        [throughput_from_rate(bandwidth, rate(target), p_out)
-         for target in (p_out * rows.prod(axis=1)).tolist()],
-        skipped=skipped)
+    try:
+        with np.errstate(over="ignore"):
+            values = bandwidth * _rate_inverse(combiner, rows.shape[1])(
+                p_out * rows.prod(axis=1)) * (1.0 - p_out)
+    except OverflowError:  # n! leaves the float range
+        values = np.full(len(rows), math.nan)
+    for i in np.flatnonzero(~((values >= 0) & (values < math.inf))).tolist():
+        values[i] = throughput_asymptotic(combiner, rows[i].tolist(), p_out,
+                                          bandwidth).throughput
+    return EmpiricalCdf.from_samples(values, skipped=skipped)
 
 
 @dataclass(frozen=True)
@@ -342,16 +349,21 @@ class SnrModelParams:
 def synthesize_trace(n_measurements: int, n_bs: int,
                      snr_model_params: Optional[SnrModelParams] = None,
                      seed: int = 0) -> SnrTrace:
-    """Deterministic synthetic trace with log-normal SNR spread."""
+    """Deterministic synthetic trace with log-normal SNR spread. DomainError
+    for a negative seed or spread, TraceError where an SNR is not finite."""
     _require_count("n_measurements", n_measurements, 1)
     _require_count("n_bs", n_bs, 1)
+    _require_count("seed", seed, 0)
     params = snr_model_params or SnrModelParams()
+    # abs: numpy rejects a spread of -0.0.
+    spreads = [abs(_require_nonnegative(name, getattr(params, name)))
+               for name in ("bs_spread_db", "shadowing_db")]
     rng = np.random.default_rng(seed)
-    bs_offsets = rng.normal(0.0, params.bs_spread_db, size=n_bs)
+    bs_offsets = rng.normal(0.0, spreads[0], size=n_bs)
     # One draw fills row after row, the same stream as a draw per row.
-    shadowing = rng.normal(0.0, params.shadowing_db,
-                           size=(n_measurements, n_bs))
+    shadowing = rng.normal(0.0, spreads[1], size=(n_measurements, n_bs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        snr_db = (params.mean_db + bs_offsets + shadowing).ravel()
     return SnrTrace(np.repeat(np.arange(n_measurements), n_bs),
                     np.tile([f"BS{b:02d}" for b in range(n_bs)],
-                            n_measurements),
-                    (params.mean_db + bs_offsets + shadowing).ravel())
+                            n_measurements), snr_db)

@@ -13,7 +13,7 @@ from .exceptions import (DomainError, _float_result,
                          _require_probability)
 from .link_model import db_to_linear
 from .outage import asymptotic_outage_value
-from .special_functions import LN2, coding_constant
+from .special_functions import LN2, _each, coding_constant
 
 #: Slope constants: the commonly quoted rounded values and the exact ones.
 ROUNDED_DB_PER_NEPER = 4.3
@@ -83,10 +83,15 @@ def snr_gain_mco_sco(query: GainQuery) -> float:
     if n == 1:
         return 1.0
     losses = query.path_losses
-    a1 = coding_constant(1, query.r_c)
-    a_n = coding_constant(n, query.r_c)
-    return (a1 / (n * a_n ** (1.0 / n))
-            * query.p_out ** (-(n - 1) / n)
+    return _mco_sco_gain(n, coding_constant(1, query.r_c),
+                         coding_constant(n, query.r_c), query.p_out, losses)
+
+
+def _mco_sco_gain(n: int, a1, a_n, p_out: float, losses):
+    """``snr_gain_mco_sco`` at n >= 2 links from A_1 and A_N: floats, or
+    arrays of them over a rate grid."""
+    return (a1 / (n * _each(math.pow, a_n, 1.0 / n))
+            * p_out ** (-(n - 1) / n)
             * math.prod(losses) ** (1.0 / n) / losses[0])
 
 
@@ -110,12 +115,19 @@ def snr_gain_jd_vs(reference, n: int, r_c: float) -> float:
     reference = Combiner.parse(reference)
     _require_count("n", n, 2)
     _require_positive("r_c", r_c)
-    base = coding_constant(1, r_c) / coding_constant(n, r_c) ** (1.0 / n)
-    if reference is Combiner.SC:
-        return base
+    a1, a_n = coding_constant(1, r_c), coding_constant(n, r_c)
+    if reference not in (Combiner.SC, Combiner.MRC):
+        raise DomainError("reference must be SC or MRC")
+    return _jd_gain(reference, n, a1, a_n)
+
+
+def _jd_gain(reference: Combiner, n: int, a1, a_n):
+    """``snr_gain_jd_vs`` of SC or MRC from A_1 and A_N: floats, or arrays
+    of them over a rate grid."""
+    base = a1 / _each(math.pow, a_n, 1.0 / n)
     if reference is Combiner.MRC:
         return base / math.factorial(n) ** (1.0 / n)
-    raise DomainError("reference must be SC or MRC")
+    return base
 
 
 def gain_slope_wrt_outage(n: int, p_out: float, rounded: bool = True) -> float:

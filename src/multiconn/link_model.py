@@ -135,14 +135,17 @@ def _snr_chunk(means: np.ndarray, seed: int, chunk_index: int,
     ``chunk_index`` of the sample block and return it.
 
     The chunk is -means * log1p(-u) on the Philox draws u keyed by
-    (seed, chunk_index), bit for bit, computed in ``out`` itself.
+    (seed, chunk_index), bit for bit, computed in ``out`` itself. A sample
+    beyond the float range is +inf, silently: it is above every rate
+    threshold, so it counts as no outage event, as its true value would.
     """
     # random() is uniform on [0, 1); 1-u lies in (0, 1] so the log stays
     # finite and samples stay nonnegative.
     u = _chunk_generator(seed, chunk_index).random(out=out)
     np.negative(u, out=u)
     np.log1p(u, out=u)
-    return np.multiply(u, -means, out=u)
+    with np.errstate(over="ignore"):
+        return np.multiply(u, -means, out=u)
 
 
 def iter_snr_chunks(topology: Topology, count: int,

@@ -21,7 +21,7 @@ from .exceptions import (DomainError, QuadratureError,
                          _require_finite, _require_nonnegative,
                          _require_positive, _require_snrs)
 from .link_model import Topology, iter_snr_chunks
-from .special_functions import LN2, coding_constant
+from .special_functions import LN2, _each, coding_constant
 
 #: Largest link count served by nested quadrature.
 MAX_QUADRATURE_LINKS = 4
@@ -378,6 +378,11 @@ def outage_jd_lower_bound_tse(avg_snr: float, n: int,
     _require_positive("avg_snr", avg_snr)
     _require_count("n", n, 1)
     _require_nonnegative("r_c", r_c)
-    per_link = coding_constant(1, r_c / n)
-    value = (-math.expm1(-per_link / avg_snr)) ** n
+    value = _jd_lower_bound(coding_constant(1, r_c / n), avg_snr, n)
     return OutageEstimate(value=value, method="bound-lower")
+
+
+def _jd_lower_bound(per_link: float, avg_snr, n: int):
+    """``outage_jd_lower_bound_tse`` at A_1(R_c/N) = per_link: of a float
+    average SNR, or of each element of an array of them."""
+    return _each(math.pow, -_each(math.expm1, -per_link / avg_snr), n)

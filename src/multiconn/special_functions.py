@@ -3,12 +3,19 @@
 The high-SNR outage asymptote of joint decoding over N parallel Rayleigh
 links has numerator A_N(R_c) = (-1)^N * (1 - 2^R_c * e_N(-R_c ln 2)), where
 e_N is the partial sum of the exponential series. Everything in this module
-is a deterministic, stateless scalar function of its arguments.
+is a deterministic, stateless function of its arguments. The private
+column kernels give each element of an array the scalar function's bits:
+transcendentals run per element through ``math`` (``_each``), and only
++ - * /, which numpy rounds as Python does, run in numpy.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
+from itertools import repeat
+
+import numpy as np
 
 from .combiners import Combiner
 from .exceptions import (ConvergenceError, DomainError,
@@ -28,24 +35,52 @@ _INVERSE_REL_RESIDUAL = 1e-10
 _INVERSE_MAX_ITER = 200
 
 
+def _each(func, *args):
+    """``func`` of floats, raising as it does; of arrays (a float argument
+    goes to every call), ``func`` per element as a float array, nan where
+    it raises. numpy's own transcendentals can differ in the last bit."""
+    if not any(isinstance(a, np.ndarray) for a in args):
+        return func(*args)
+    args = [a.tolist() if isinstance(a, np.ndarray) else repeat(a)
+            for a in args]
+    try:
+        return np.fromiter(map(func, *args), float)
+    except (ArithmeticError, ValueError):
+        return np.fromiter(map(partial(_or_nan, func), *args), float)
+
+
+def _or_nan(func, *args) -> float:
+    try:
+        return func(*args)
+    except (ArithmeticError, ValueError):
+        return math.nan
+
+
 def exp_sum(n: int, x: float) -> float:
     """Partial sum of the exponential series: sum_{k=0}^{n-1} x^k / k!.
     DomainError where a partial sum overflows a float."""
     _require_count("n", n, 1)
     _require_finite("x", x)
-    term = 1.0
-    total = 1.0
-    for k in range(1, n):
-        term *= x / k
-        total += term
+    total = _exp_sum(n, x)
     if not math.isfinite(total):
         raise DomainError(f"exp_sum({n}, {x!r}) overflows a float")
     return total
 
 
-def _coding_constant_direct(n: int, r_c: float) -> float:
+def _exp_sum(n: int, x):
+    # exp_sum of a float, or of each element of an array.
+    term = 1.0
+    total = 1.0
+    for k in range(1, n):
+        term *= x / k
+        total += term
+    return total
+
+
+def _coding_constant_direct(n: int, r_c):
+    # Of a float, or of each element of an array.
     sign = -1.0 if n % 2 else 1.0
-    return sign * (1.0 - 2.0 ** r_c * exp_sum(n, -r_c * LN2))
+    return sign * (1.0 - _each(math.pow, 2.0, r_c) * _exp_sum(n, -r_c * LN2))
 
 
 def _coding_constant_tail(n: int, r_c: float) -> float:
@@ -61,6 +96,35 @@ def _coding_constant_tail(n: int, r_c: float) -> float:
         if abs(term) < _TAIL_STOP_REL * abs(total) or not term:  # underflow
             break
     return 2.0 ** r_c * total
+
+
+def _coding_constants(n: int, r_c: np.ndarray) -> np.ndarray:
+    """``coding_constant(n, r)`` at each finite r > 0 of an array: its bits
+    where it returns, and inf, nan or 0 where it raises. Each element takes
+    the scalar's branch; OverflowError where n! leaves the float range."""
+    t = r_c * LN2
+    if n == 1:
+        return _each(math.expm1, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.empty_like(t)
+        tail = t < _TAIL_SWITCH_FACTOR * n
+        value[~tail] = _coding_constant_direct(n, r_c[~tail])
+        # _coding_constant_tail on each row, which stops on its own test, or
+        # where the sum is not finite (t^n overflowed, or r < 0).
+        t, rows, k = t[tail], np.arange(np.count_nonzero(tail)), n
+        term = _each(math.pow, t, n) / float(math.factorial(n))
+        total, sums = term.copy(), np.empty_like(t)
+        while rows.size:
+            k += 1
+            term *= -t / k
+            total += term
+            go = ((np.abs(term) >= _TAIL_STOP_REL * np.abs(total))
+                  & (term != 0) & (np.abs(total) < math.inf))
+            if not go.all():
+                sums[rows[~go]] = total[~go]
+                rows, t, term, total = rows[go], t[go], term[go], total[go]
+        value[tail] = _each(math.pow, 2.0, r_c[tail]) * sums
+    return value
 
 
 def coding_constant(n: int, r_c: float) -> float:
@@ -96,7 +160,13 @@ def coding_constant_slope(n: int, r_c: float) -> float:
     """d A_N / d R_c = ln(2) * 2^R_c * (R_c ln 2)^(N-1) / (N-1)!."""
     _require_count("n", n, 1)
     _require_nonnegative("r_c", r_c)
-    return LN2 * 2.0 ** r_c * (r_c * LN2) ** (n - 1) / math.factorial(n - 1)
+    return _slope(n, r_c)
+
+
+def _slope(n: int, r_c):
+    # coding_constant_slope of a float, or of each element of an array.
+    return (LN2 * _each(math.pow, 2.0, r_c) * _each(math.pow, r_c * LN2, n - 1)
+            / float(math.factorial(n - 1)))
 
 
 def lambert_w_asymptotic(z: float) -> float:
@@ -104,7 +174,12 @@ def lambert_w_asymptotic(z: float) -> float:
     _require_positive("z", z)
     if z < math.e:
         raise DomainError(f"lambert_w_asymptotic requires z >= e, got {z}")
-    return math.log(z) - math.log(math.log(z))
+    return _lambert_w(z)
+
+
+def _lambert_w(z):
+    # lambert_w_asymptotic of a float, or of each element of an array.
+    return _each(math.log, z) - _each(math.log, _each(math.log, z))
 
 
 def lambert_w_upper_branch(z: float) -> float:
@@ -166,6 +241,44 @@ def coding_constant_inverse(n: int, y: float, mode: str = "refined") -> float:
         x = new_x
     raise ConvergenceError(
         f"coding_constant_inverse did not converge for n={n}, y={y}")
+
+
+def _inverse_rows(n: int, y: np.ndarray, mode: str = "refined") -> np.ndarray:
+    """``coding_constant_inverse(n, y, mode)`` at each finite y > 0 of an
+    array, n >= 2: its bits where it returns, nan where it raises. Every row
+    takes the scalar's seed, Newton steps and step halving, and stops on its
+    own residual test."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        zeta = _each(math.pow, float(math.factorial(n - 1)) * y,
+                     1.0 / (n - 1)) / (n - 1)
+        big = zeta >= math.e
+        x = np.full_like(y, math.nan)
+        x[big] = (n - 1) / LN2 * _lambert_w(zeta[big])
+        if mode == "paper":
+            return x
+        x[~big] = _each(math.pow, y[~big] * float(math.factorial(n)),
+                        1.0 / n) / LN2
+        out = np.full_like(y, math.nan)
+        rows = np.flatnonzero((x > 0) & (x < math.inf))
+        x, y = x[rows], y[rows]
+        for _ in range(_INVERSE_MAX_ITER):
+            if not rows.size:
+                break
+            a = _coding_constants(n, x)
+            done = np.abs(a - y) <= _INVERSE_REL_RESIDUAL * y
+            # A_N or a slope of 0, inf or nan raises in the scalar loop.
+            valid = (np.abs(a) < math.inf) & (a != 0)
+            out[rows[valid & done]] = x[valid & done]
+            slope = _slope(n, x)
+            go = valid & ~done & (slope > 0) & (slope < math.inf)
+            step = (a - y)[go] / slope[go]
+            rows, x, y = rows[go], x[go], y[go]
+            new_x = x - step
+            while (low := new_x <= 0).any():
+                step[low] *= 0.5
+                new_x[low] = x[low] - step[low]
+            x = new_x
+    return out
 
 
 @_float_result(_require_positive)

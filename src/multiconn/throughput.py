@@ -13,7 +13,8 @@ from .exceptions import (BracketError, ConvergenceError, DomainError,
                          _require_probability, _require_snrs)
 from .link_model import Topology, average_snrs
 from .outage import outage_exact_closed, outage_jd_quadrature
-from .special_functions import coding_constant_inverse
+from .special_functions import (_each, _inverse_rows,
+                                coding_constant_inverse)
 
 DEFAULT_RATE_BRACKET = (1e-6, 64.0)
 # Bisection stops once its step is below _RATE_XTOL + _RATE_RTOL * |mid|.
@@ -52,17 +53,22 @@ def achievable_rate_asymptotic(combiner, avg_snrs: Sequence[float],
     _require_probability("p_out", p_out)
     if combiner is Combiner.SCO:
         snrs = snrs[:1]
-    return _rate_inverse(combiner, len(snrs), mode)(p_out * math.prod(snrs))
+    target = p_out * math.prod(snrs)
+    if combiner is Combiner.JD and len(snrs) > 1:
+        return coding_constant_inverse(len(snrs), target, mode=mode)
+    return _rate_inverse(combiner, len(snrs))(target)
 
 
 def _rate_inverse(combiner: Combiner, n: int, mode: str = "refined"):
-    """``achievable_rate_asymptotic`` of n links as a function of the
-    target p_out * prod(G). SCo is SC on its one link."""
+    """``achievable_rate_asymptotic`` of n links as a function of an array
+    of targets p_out * prod(G), nan where it raises; but for SC, MRC, SCo
+    and JD at n = 1, also of a float target. SCo is SC on its one link."""
     if combiner is Combiner.JD and n > 1:
-        return partial(coding_constant_inverse, n, mode=mode)
-    scale = math.factorial(n) if combiner is Combiner.MRC else 1
+        return partial(_inverse_rows, n, mode=mode)
+    scale = float(math.factorial(n)) if combiner is Combiner.MRC else 1.0
     root = 1.0 / n
-    return lambda target: math.log2((scale * target) ** root + 1.0)
+    return lambda target: _each(math.log2,
+                                _each(math.pow, scale * target, root) + 1.0)
 
 
 def achievable_rate_exact(combiner, topology: Topology, p_out: float) -> float:

@@ -7,12 +7,13 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from multiconn import cli
+from multiconn import cli, special_functions
 from multiconn import outage as outage_mod
 from multiconn.field_trial import load_trace, save_trace, synthesize_trace
 from multiconn.link_model import db_to_linear
@@ -298,7 +299,8 @@ def _csv_blocks(text):
 
 class TestExitCodes:
     # Any argv of the sweep and CDF commands exits 0, 2, 3 or 4, raises
-    # nothing, and on success writes rows as wide as their header.
+    # nothing, warns nothing (numpy's RuntimeWarnings are errors here), and
+    # on success writes rows as wide as their header.
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(argv=_argv())
@@ -306,9 +308,15 @@ class TestExitCodes:
                    "--snr-db-range", "0:10:2"])
     @example(argv=["throughput", "--n-links", "2", "--distances",
                    "1e-300,1", "--snr-db-range", "0:10:2"])
+    # About one Monte-Carlo draw in 40 of link 1 overflows at 80 dB.
+    @example(argv=["outage", "--method", "mc", "--n-links", "2",
+                   "--distances", "1e-150,1", "--snr-db-range", "70:80:2",
+                   "--mc-samples", "5000"])
     def test_exit_code_contract(self, argv):
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = cli.main(argv)
         assert code in (0, 2, 3, 4), (code, err.getvalue())
         if code == 0:
@@ -316,6 +324,131 @@ class TestExitCodes:
             assert blocks
             for header, *rows in blocks:
                 assert all(len(row) == len(header) for row in rows)
+
+
+def _capture(argv):
+    # Exit code, stdout and stderr of one run, numpy warnings as errors.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _sweep_spy(column=None, cells=None):
+    # cli._sweep with every column function replaced by ``column`` (None:
+    # kept), recording each per-point cell's (i, j) in ``cells``.
+    sweep = cli._sweep
+
+    def spy(axis, grid, point, plan, suffixes, cell, columns, *rest, **kw):
+        def counted(links, i, j, entry):
+            cells.append((i, j))
+            return cell(links, i, j, entry)
+        sweep(axis, grid, point, plan, suffixes,
+              cell if cells is None else counted, column or columns, *rest,
+              **kw)
+    return mock.patch.object(cli, "_sweep", spy)
+
+
+def _per_point(argv):
+    # The per-point route: every cell through the scalar public functions
+    # (outage_asymptotic, outage_jd_lower_bound_tse, throughput_asymptotic,
+    # snr_gain_mco_sco, snr_gain_jd_vs) on each point's topology.
+    with _sweep_spy(column=lambda entry: None):
+        return _capture(argv)
+
+
+@st.composite
+def _column_argv(draw):
+    # Sweeps whose columns have kernels (exact outage cells interleaved),
+    # with grids reaching -30 and 80 dB, equal and unequal distances, rates
+    # where A_1^N or A_N overflows and Newton targets near 1e308.
+    command = draw(st.sampled_from(["outage", "throughput", "gain"]))
+    low = 2 if command == "gain" else 1
+    argv = [command]
+    if draw(st.booleans()):
+        n = draw(st.integers(max(low, 1), 4))
+        spec = draw(st.one_of(
+            st.sampled_from(["1", "2.5", "1e-60"]).map(
+                lambda d: ",".join([d] * n)),
+            st.lists(st.sampled_from(["0.5", "1", "3", "40", "1e-80",
+                                      "1e-300"]), min_size=n, max_size=n)
+            .map(",".join)))
+        argv += ["--n-links", str(n), "--distances", spec,
+                 "--eta", draw(st.sampled_from(["2", "3.5", "0", "nan"]))]
+    else:
+        argv += _repeated(draw, "--n-links", st.integers(low, 4))
+    if command == "gain":
+        argv += (_repeated(draw, "--kind", st.sampled_from(cli._GAIN_KINDS))
+                 + _repeated(draw, "--outage", st.sampled_from(
+                     ["1e-3", "1e-6", "0.3"]))
+                 + ["--rate-range", draw(st.sampled_from([
+                     "1e-3:30:8", "0.5:25:5", "-1:2:4", "590:600:3",
+                     "1015:1030:4"]))])
+        return argv
+    start = draw(st.one_of(st.sampled_from([-30.0, 75.0]),
+                           st.floats(-30.0, 75.0)))
+    stop = draw(st.sampled_from([5.0, 20.0, 80.0 - start, 110.0]))
+    argv += (_repeated(draw, "--combiner", _COMBINER)
+             + ["--snr-db-range",
+                f"{start!r}:{start + max(stop, 1.0)!r}:"
+                f"{draw(st.integers(2, 8))}"])
+    if command == "outage":
+        argv += (_repeated(draw, "--method", st.sampled_from(
+                     ["asymptotic", "bound", "exact"]))
+                 + ["--rate", repr(draw(st.one_of(
+                     st.floats(0.05, 8.0),
+                     st.sampled_from([600.0, 0.0, 1e-9, 1100.0]))))])
+    else:
+        argv += (_repeated(draw, "--method", st.sampled_from(
+                     ["asymptotic", "paper-approx"]))
+                 + ["--outage", repr(draw(st.one_of(
+                     st.floats(1e-12, 0.9),
+                     st.sampled_from([1e-3, 1e-5, 0.3]))))])
+    return argv
+
+
+class TestColumnsMatchPerPoint:
+    # Every cell of a column kernel has the bits of the scalar public
+    # function at its grid point, its saturated and undefined flags sit on
+    # the same cells, and the exit code and error message are the ones the
+    # per-point route gives.
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=_column_argv())
+    @example(argv=["throughput", "--n-links", "2", "--distances",
+                   "1e-80,1e-80", "--snr-db-range", "-30:80:8", "--outage",
+                   "0.3", "--method", "asymptotic"])
+    @example(argv=["gain", "--kind", "jd-mrc", "--n-links", "3",
+                   "--rate-range", "1015:1030:4"])
+    @example(argv=["outage", "--combiner", "sc", "--combiner", "jd",
+                   "--n-links", "2", "--rate", "600.0"])
+    def test_same_output_as_per_point(self, argv):
+        assert _capture(argv) == _per_point(argv)
+
+    def test_kernel_columns_take_no_cell_per_point(self):
+        cells = []
+        with _sweep_spy(cells=cells):
+            for argv in (["outage", "--combiner", "jd", "--combiner", "sc",
+                          "--combiner", "mrc", "--combiner", "sco",
+                          "--n-links", "3"],
+                         ["outage", "--combiner", "jd", "--combiner", "mrc",
+                          "--method", "bound", "--method", "asymptotic"],
+                         ["throughput", "--method", "asymptotic", "--method",
+                          "paper-approx", "--snr-db-range", "40:60:7"],
+                         ["gain", "--kind", "mco-sco", "--kind", "jd-sc",
+                          "--kind", "jd-mrc", "--n-links", "3"]):
+                assert _capture(argv)[0] == 0
+        assert cells == []
+
+    def test_newton_convergence_error_exits_3_in_both_routes(
+            self, monkeypatch):
+        monkeypatch.setattr(special_functions, "_INVERSE_MAX_ITER", 1)
+        argv = ["throughput", "--snr-db-range", "20:30:3"]
+        code, out, err = _capture(argv)
+        assert code == 3 and "did not converge" in err
+        assert (code, out, err) == _per_point(argv)
 
 
 class TestThroughputCommand:

@@ -1,14 +1,20 @@
-"""The public scalar functions on their whole input domain: each call
-returns a finite value in its documented range or raises a package error,
-and never a raw exception, a NaN, an infinity or a numpy warning."""
+"""The public functions on their whole input domain: each call returns a
+finite value in its documented range or raises a package error, and never
+a raw exception, a NaN, an infinity or a numpy warning. The trace functions
+take small traces (at most 35 rows) with edge SNRs in dB."""
 
 import math
 import warnings
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from multiconn.exceptions import (BracketError, ConvergenceError, DomainError,
-                                  QuadratureError, UnsupportedLinkCountError)
+                                  QuadratureError, TraceError,
+                                  UnsupportedLinkCountError)
+from multiconn.field_trial import (SnrModelParams, SnrTrace,
+                                   empirical_outage_cdf,
+                                   empirical_throughput_cdf, synthesize_trace)
 from multiconn.gains_dmt import (GainQuery, dmt, dmt_empirical,
                                  gain_slope_wrt_outage, gain_slope_wrt_rate,
                                  required_total_snr, snr_gain_jd_vs,
@@ -25,7 +31,7 @@ from multiconn.throughput import (achievable_rate_asymptotic,
                                   throughput_from_rate)
 
 TYPED = (DomainError, ConvergenceError, QuadratureError, BracketError,
-         UnsupportedLinkCountError)
+         UnsupportedLinkCountError, TraceError)
 
 # Edge values, any float, and values of the size that the functions are
 # used at, so that the valid domain is reached as well as its edges.
@@ -49,6 +55,31 @@ def _query(d):
                  else ())
     return GainQuery(n_links=n, r_c=d.draw(REAL), p_out=d.draw(PROB),
                      distances=distances, eta=d.draw(REAL))
+
+
+# Average SNRs in dB: where the linear value underflows (-3240), is
+# subnormal (-3100), overflows (3083) or whose products overflow, and the
+# values traces hold.
+SNR_DB = st.one_of(
+    st.sampled_from([-3240.0, -3100.0, -400.0, -30.0, 0.0, -0.0, 1600.0,
+                     3083.0, 1e308, math.nan, math.inf]),
+    st.floats(-40.0, 80.0))
+
+
+def _trace(d):
+    # Unique (measurement, base station) pairs with drawn SNRs.
+    pairs = d.draw(st.lists(st.tuples(st.integers(0, 6),
+                                      st.sampled_from("ABCDE")),
+                            min_size=1, max_size=35, unique=True))
+    snrs = d.draw(st.lists(SNR_DB, min_size=len(pairs),
+                           max_size=len(pairs)))
+    return SnrTrace([m for m, _ in pairs], [b for _, b in pairs], snrs)
+
+
+def _cdf(cdf):
+    return (cdf.values.size > 0 and np.all(np.isfinite(cdf.values))
+            and np.all(cdf.values >= 0)
+            and cdf.probabilities[-1] == 1.0)
 
 
 def _positive(v):
@@ -133,6 +164,20 @@ CASES = {
     "dmt_empirical": (
         lambda d: dmt_empirical(d.draw(COMBINER), d.draw(REAL), d.draw(COUNT),
                                 d.draw(st.lists(REAL, max_size=4))), _finite),
+    "empirical_outage_cdf": (
+        lambda d: empirical_outage_cdf(_trace(d), d.draw(COUNT), d.draw(REAL),
+                                       d.draw(COMBINER)),
+        lambda cdf: _cdf(cdf) and np.all(cdf.values <= 1)),
+    "empirical_throughput_cdf": (
+        lambda d: empirical_throughput_cdf(_trace(d), d.draw(COUNT),
+                                           d.draw(PROB), d.draw(REAL),
+                                           d.draw(COMBINER)), _cdf),
+    "synthesize_trace": (
+        lambda d: synthesize_trace(
+            d.draw(st.integers(-1, 7)), d.draw(st.integers(-1, 5)),
+            SnrModelParams(d.draw(REAL), d.draw(REAL), d.draw(REAL)),
+            seed=d.draw(st.one_of(st.integers(-2, 2**70), st.just(2.5)))),
+        lambda trace: bool(np.all(np.isfinite(trace.avg_snr_db)))),
 }
 
 

@@ -4,6 +4,7 @@ import os
 import queue
 import sys
 import threading
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -235,6 +236,22 @@ class TestMonteCarlo:
         assert a.sample_count == 50_000
         assert 0.0 <= a.value <= 1.0
         assert a.ci_half_width > 0
+
+    @pytest.mark.parametrize("combiner", ["jd", "sc", "mrc", "sco"])
+    def test_overflowing_draws_are_silent_and_never_in_outage(self, combiner):
+        # Link 2's mean is 1e308, so about one draw in six overflows to
+        # +inf (on a worker thread). Link 1 draws the same values as with a
+        # mean of 1; an overflowed row is no event under any combiner.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = outage_monte_carlo(combiner, _topology([1.0, 1e308]), 1.0,
+                                     sample_count=20_000, seed=5)
+        if combiner == "sco":
+            ref = outage_monte_carlo(combiner, _topology([1.0, 1.0]), 1.0,
+                                     sample_count=20_000, seed=5)
+            assert big.value == ref.value > 0
+        else:
+            assert big.value == 0.0
 
     def test_low_event_flag(self):
         topo = _topology([1000.0, 1000.0])
