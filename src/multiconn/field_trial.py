@@ -21,8 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .combiners import Combiner
-from .exceptions import (TraceError, _require_count, _require_nonnegative,
-                         _require_positive, _require_probability)
+from .exceptions import (TraceError, _require_count, _require_finite,
+                         _require_nonnegative, _require_positive,
+                         _require_probability)
 from .link_model import db_to_linear
 from .outage import _asymptote, _closed_form, outage_exact_closed
 from .special_functions import coding_constant
@@ -350,11 +351,13 @@ def synthesize_trace(n_measurements: int, n_bs: int,
                      snr_model_params: Optional[SnrModelParams] = None,
                      seed: int = 0) -> SnrTrace:
     """Deterministic synthetic trace with log-normal SNR spread. DomainError
-    for a negative seed or spread, TraceError where an SNR is not finite."""
+    for a non-finite mean or a negative seed or spread, TraceError where an
+    SNR is not finite."""
     _require_count("n_measurements", n_measurements, 1)
     _require_count("n_bs", n_bs, 1)
     _require_count("seed", seed, 0)
     params = snr_model_params or SnrModelParams()
+    _require_finite("mean_db", params.mean_db)
     # abs: numpy rejects a spread of -0.0.
     spreads = [abs(_require_nonnegative(name, getattr(params, name)))
                for name in ("bs_spread_db", "shadowing_db")]

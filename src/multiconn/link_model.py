@@ -9,6 +9,7 @@ many workers produced the chunks.
 from __future__ import annotations
 
 import collections
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -120,8 +121,9 @@ def db_to_linear(x_db: float) -> float:
 
 
 def linear_to_db(x: float) -> float:
+    """10 log10(x) for finite x > 0."""
     _require_positive("x", x)
-    return 10.0 * np.log10(x)
+    return 10.0 * math.log10(x)
 
 
 def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:

@@ -21,7 +21,7 @@ from .exceptions import (DomainError, QuadratureError,
                          _require_finite, _require_nonnegative,
                          _require_positive, _require_snrs)
 from .link_model import Topology, iter_snr_chunks
-from .special_functions import LN2, _each, coding_constant
+from .special_functions import LN2, _each, _exp_sum, coding_constant
 
 #: Largest link count served by nested quadrature.
 MAX_QUADRATURE_LINKS = 4
@@ -97,7 +97,9 @@ def _capacity_rows(combiner: Combiner, block: np.ndarray) -> np.ndarray:
     if combiner is Combiner.JD:
         return np.log2(np.add(block, 1.0, out=block), out=block).sum(axis=1)
     if combiner is Combiner.MRC:
-        rows = block.sum(axis=1)
+        # A sum beyond the float range is +inf, never an outage event.
+        with np.errstate(over="ignore"):
+            rows = block.sum(axis=1)
     else:
         rows = block[:, 0].copy()
         if combiner is Combiner.SC:
@@ -199,8 +201,8 @@ def _nested_integral(levels, innermost, total: float,
 
 
 def _rate_share_density(mean: float):
-    # Density of x = log2(1 + gamma) for gamma ~ Exp(mean).
-    scale = LN2 / mean
+    # Density of x = log2(1 + gamma), gamma ~ Exp(mean); a subnormal raises.
+    scale = _require_positive("JD rate-share density scale ln2/G", LN2 / mean)
 
     def density(x: np.ndarray) -> np.ndarray:
         y = x * LN2
@@ -216,7 +218,8 @@ def outage_jd_quadrature(avg_snrs: Sequence[float],
     N-1 links, each on [0, min(remaining rate, log2(1 + 745 G_i))]; the
     last link's CDF is closed form. Panels double until two successive
     estimates agree to 1e-8 relative. Supports N <= 4; DomainError where
-    A_1(r_c) = 2^r_c - 1 overflows a float.
+    A_1(r_c) = 2^r_c - 1 overflows a float, or where an average SNR is
+    below ln 2 / DBL_MAX (about 3.9e-309).
     """
     snrs = _require_snrs(avg_snrs)
     n = len(snrs)
@@ -232,9 +235,10 @@ def outage_jd_quadrature(avg_snrs: Sequence[float],
     except OverflowError:
         raise DomainError(f"A_1({r_c}) overflows a float") from None
 
-    # Density and range of each rate share x = log2(1 + gamma).
+    # Density and range of each rate share x = log2(1 + gamma); log1p keeps
+    # the range of a weak link, which 1 + 745 G would round to [0, 0].
     levels = [(_rate_share_density(mean),
-               math.log2(1.0 + _JD_TAIL_MEANS * mean)) for mean in snrs]
+               math.log1p(_JD_TAIL_MEANS * mean) / LN2) for mean in snrs]
     last = snrs[-1]
 
     def innermost(rate: np.ndarray) -> np.ndarray:
@@ -350,12 +354,7 @@ def _closed_form(combiner: Combiner, snrs: list[float], a1: float) -> float:
         kind = _spacing_kind(snrs)
         if kind == "equal":
             a = a1 / (sum(snrs) / n)
-            term = 1.0
-            total = 1.0
-            for i in range(1, n):
-                term *= a / i
-                total += term
-            value = 1.0 - math.exp(-a) * total
+            value = 1.0 - math.exp(-a) * _exp_sum(n, a)
         elif kind == "distinct":
             terms = []
             for i, gi in enumerate(snrs):

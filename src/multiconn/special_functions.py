@@ -5,8 +5,9 @@ links has numerator A_N(R_c) = (-1)^N * (1 - 2^R_c * e_N(-R_c ln 2)), where
 e_N is the partial sum of the exponential series. Everything in this module
 is a deterministic, stateless function of its arguments. The private
 column kernels give each element of an array the scalar function's bits:
-transcendentals run per element through ``math`` (``_each``), and only
-+ - * /, which numpy rounds as Python does, run in numpy.
+transcendentals, the A_N tail series and the inverse's seed run per element
+through ``math`` and the scalar code (``_each``), and only + - * /, which
+numpy rounds as Python does, run in numpy.
 """
 
 from __future__ import annotations
@@ -99,31 +100,18 @@ def _coding_constant_tail(n: int, r_c: float) -> float:
 
 
 def _coding_constants(n: int, r_c: np.ndarray) -> np.ndarray:
-    """``coding_constant(n, r)`` at each finite r > 0 of an array: its bits
-    where it returns, and inf, nan or 0 where it raises. Each element takes
-    the scalar's branch; OverflowError where n! leaves the float range."""
+    """``coding_constant(n, r)`` at each r > 0 of an array: its bits where
+    it returns, and inf, nan or 0 where it raises; 0 of either sign at
+    r = 0, nan at nan, and no value of meaning at r < 0. Each element takes
+    the scalar's branch, and a tail row runs the scalar's tail series."""
     t = r_c * LN2
     if n == 1:
         return _each(math.expm1, t)
+    # r < 0 would not stop the tail series, which ends on a small term.
+    tail = (r_c > 0) & (t < _TAIL_SWITCH_FACTOR * n)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = np.empty_like(t)
-        tail = t < _TAIL_SWITCH_FACTOR * n
-        value[~tail] = _coding_constant_direct(n, r_c[~tail])
-        # _coding_constant_tail on each row, which stops on its own test, or
-        # where the sum is not finite (t^n overflowed, or r < 0).
-        t, rows, k = t[tail], np.arange(np.count_nonzero(tail)), n
-        term = _each(math.pow, t, n) / float(math.factorial(n))
-        total, sums = term.copy(), np.empty_like(t)
-        while rows.size:
-            k += 1
-            term *= -t / k
-            total += term
-            go = ((np.abs(term) >= _TAIL_STOP_REL * np.abs(total))
-                  & (term != 0) & (np.abs(total) < math.inf))
-            if not go.all():
-                sums[rows[~go]] = total[~go]
-                rows, t, term, total = rows[go], t[go], term[go], total[go]
-        value[tail] = _each(math.pow, 2.0, r_c[tail]) * sums
+        value = _coding_constant_direct(n, r_c)
+    value[tail] = _each(_coding_constant_tail, n, r_c[tail])
     return value
 
 
@@ -174,12 +162,7 @@ def lambert_w_asymptotic(z: float) -> float:
     _require_positive("z", z)
     if z < math.e:
         raise DomainError(f"lambert_w_asymptotic requires z >= e, got {z}")
-    return _lambert_w(z)
-
-
-def _lambert_w(z):
-    # lambert_w_asymptotic of a float, or of each element of an array.
-    return _each(math.log, z) - _each(math.log, _each(math.log, z))
+    return math.log(z) - math.log(math.log(z))
 
 
 def lambert_w_upper_branch(z: float) -> float:
@@ -200,12 +183,14 @@ def lambert_w_upper_branch(z: float) -> float:
     raise ConvergenceError(f"Lambert W did not converge for z={z}")
 
 
-def _inverse_seed(n: int, y: float) -> float:
-    zeta = (math.factorial(n - 1) * y) ** (1.0 / (n - 1)) / (n - 1)
-    if zeta >= math.e:
+def _inverse_seed(n: int, y: float, mode: str) -> float:
+    # The paper form (DomainError where zeta < e), or the Newton seed.
+    # math.pow raises at y < 0, where ** gives a complex number.
+    zeta = math.pow(math.factorial(n - 1) * y, 1.0 / (n - 1)) / (n - 1)
+    if zeta >= math.e or mode == "paper":
         return (n - 1) / LN2 * lambert_w_asymptotic(zeta)
     # Small-argument asymptote A_N(x) ~ 2^x (x ln 2)^N / N!.
-    return (y * math.factorial(n)) ** (1.0 / n) / LN2
+    return math.pow(y * math.factorial(n), 1.0 / n) / LN2
 
 
 @_float_result(_require_positive)
@@ -223,12 +208,9 @@ def coding_constant_inverse(n: int, y: float, mode: str = "refined") -> float:
     if mode not in ("refined", "paper"):
         raise DomainError(f"unknown inverse mode {mode!r}")
 
+    x = _inverse_seed(n, y, mode)  # > 0 for every y > 0
     if mode == "paper":
-        # DomainError from lambert_w_asymptotic where zeta < e.
-        zeta = (math.factorial(n - 1) * y) ** (1.0 / (n - 1)) / (n - 1)
-        return (n - 1) / LN2 * lambert_w_asymptotic(zeta)
-
-    x = _inverse_seed(n, y)  # > 0 for every y > 0
+        return x
     for _ in range(_INVERSE_MAX_ITER):
         residual = coding_constant(n, x) - y
         if abs(residual) <= _INVERSE_REL_RESIDUAL * y:
@@ -248,16 +230,10 @@ def _inverse_rows(n: int, y: np.ndarray, mode: str = "refined") -> np.ndarray:
     array, n >= 2: its bits where it returns, nan where it raises. Every row
     takes the scalar's seed, Newton steps and step halving, and stops on its
     own residual test."""
+    x = _each(_inverse_seed, n, y, mode)
+    if mode == "paper":
+        return x
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        zeta = _each(math.pow, float(math.factorial(n - 1)) * y,
-                     1.0 / (n - 1)) / (n - 1)
-        big = zeta >= math.e
-        x = np.full_like(y, math.nan)
-        x[big] = (n - 1) / LN2 * _lambert_w(zeta[big])
-        if mode == "paper":
-            return x
-        x[~big] = _each(math.pow, y[~big] * float(math.factorial(n)),
-                        1.0 / n) / LN2
         out = np.full_like(y, math.nan)
         rows = np.flatnonzero((x > 0) & (x < math.inf))
         x, y = x[rows], y[rows]

@@ -165,6 +165,8 @@ class TestValidationExits:
          "--rate-range", "1:2:2"),
         ("outage", "--combiner", "sco", "--n-links", "3",
          "--distances", "1,2"),
+        ("synth-trace", "--mean-db", "nan"),
+        ("synth-trace", "--mean-db", "inf"),
     ])
     def test_exit_code_2(self, capsys, argv):
         assert cli.main(list(argv)) == 2
@@ -312,6 +314,10 @@ class TestExitCodes:
     @example(argv=["outage", "--method", "mc", "--n-links", "2",
                    "--distances", "1e-150,1", "--snr-db-range", "70:80:2",
                    "--mc-samples", "5000"])
+    # At 0 dB both means are 5e307, so MRC sums overflow.
+    @example(argv=["outage", "--method", "mc", "--combiner", "mrc",
+                   "--n-links", "2", "--distances", "1e-154,1e-154",
+                   "--snr-db-range", "0:10:2", "--mc-samples", "1000"])
     def test_exit_code_contract(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -481,6 +487,38 @@ class TestThroughputCommand:
         _, rows = _rows(out)
         exact, asym = float(rows[-1][1]), float(rows[-1][2])
         assert exact == pytest.approx(asym, rel=0.05)
+
+
+class TestWeakLink:
+    # Link 1 at distance 1e10 has an average SNR near 1e-20: JD decodes
+    # what link 2 alone carries, as SC does; exact JD used to read 0.
+    def test_exact_jd_outage(self, capsys):
+        code, out = _run(capsys, "outage", "--method", "exact", "--method",
+                         "mc", "--combiner", "jd", "--combiner", "sc",
+                         "--n-links", "2", "--distances", "1e10,1",
+                         "--snr-db-range", "0:10:2", "--rate", "0.5",
+                         "--mc-samples", "100000")
+        assert code == 0
+        header, rows = _rows(out)
+        col = {name: i for i, name in enumerate(header)}
+        for row in rows:
+            exact = float(row[col["jd_n2_exact"]])
+            mc, ci = float(row[col["jd_n2_mc"]]), float(row[col["jd_n2_mc_ci"]])
+            assert exact == pytest.approx(float(row[col["sc_n2_exact"]]),
+                                          rel=1e-9)
+            assert abs(exact - mc) <= 3 * ci
+
+    def test_exact_jd_throughput(self, capsys):
+        code, out = _run(capsys, "throughput", "--method", "exact",
+                         "--combiner", "jd", "--combiner", "sc",
+                         "--n-links", "2", "--distances", "1e10,1",
+                         "--snr-db-range", "10:20:2", "--outage", "1e-2")
+        assert code == 0
+        header, rows = _rows(out)
+        assert header[1:3] == ["jd_n2_exact_bps", "sc_n2_exact_bps"]
+        for row in rows:
+            assert row[3] == ""
+            assert float(row[1]) == pytest.approx(float(row[2]), rel=1e-6)
 
 
 class TestGainCommand:

@@ -19,9 +19,10 @@ from multiconn.gains_dmt import (GainQuery, dmt, dmt_empirical,
                                  gain_slope_wrt_outage, gain_slope_wrt_rate,
                                  required_total_snr, snr_gain_jd_vs,
                                  snr_gain_mco_sco, snr_gain_mco_sco_approx)
-from multiconn.link_model import db_to_linear, linear_to_db
+from multiconn.link_model import Link, Topology, db_to_linear, linear_to_db
 from multiconn.outage import (asymptotic_outage_value, outage_asymptotic,
-                              outage_exact_closed, outage_jd_lower_bound_tse)
+                              outage_exact_closed, outage_jd_lower_bound_tse,
+                              outage_jd_quadrature, outage_monte_carlo)
 from multiconn.special_functions import (coding_constant,
                                          coding_constant_inverse,
                                          coding_constant_slope, coding_gain,
@@ -64,6 +65,15 @@ SNR_DB = st.one_of(
     st.sampled_from([-3240.0, -3100.0, -400.0, -30.0, 0.0, -0.0, 1600.0,
                      3083.0, 1e308, math.nan, math.inf]),
     st.floats(-40.0, 80.0))
+
+
+def _topology(d):
+    # Half the time all means are near the float maximum, where sums of
+    # draws overflow.
+    means = d.draw(st.one_of(
+        st.lists(REAL, min_size=1, max_size=3),
+        st.lists(st.sampled_from([1e307, 1e308]), min_size=2, max_size=3)))
+    return Topology(tuple(Link(g, 1.0, 1.0) for g in means), 20e6)
 
 
 def _trace(d):
@@ -138,6 +148,15 @@ CASES = {
     "outage_exact_closed": (
         lambda d: outage_exact_closed(d.draw(COMBINER), d.draw(SNRS),
                                       d.draw(REAL)), _probability),
+    # N <= 3 links, so that every quadrature stays fast.
+    "outage_jd_quadrature": (
+        lambda d: outage_jd_quadrature(d.draw(st.lists(REAL, max_size=3)),
+                                       d.draw(REAL)), _probability),
+    "outage_monte_carlo": (
+        lambda d: outage_monte_carlo(
+            d.draw(COMBINER), _topology(d), d.draw(PROB),
+            sample_count=d.draw(st.integers(999, 1002)),
+            seed=d.draw(st.integers(0, 3))), _probability),
     "outage_jd_lower_bound_tse": (
         lambda d: outage_jd_lower_bound_tse(d.draw(REAL), d.draw(COUNT),
                                             d.draw(REAL)), _probability),
@@ -192,3 +211,5 @@ def test_in_range_or_typed_error(name, data):
         except TYPED:
             return
     assert in_range(value), f"{name} returned {value!r}"
+    if isinstance(value, (float, np.generic)):
+        assert type(value) is float, f"{name} returned {value!r}"

@@ -246,6 +246,10 @@ class TestMonteCarlo:
             warnings.simplefilter("error")
             big = outage_monte_carlo(combiner, _topology([1.0, 1e308]), 1.0,
                                      sample_count=20_000, seed=5)
+            # Both means at 1e308: the MRC sum overflows as well.
+            both = outage_monte_carlo(combiner, _topology([1e308, 1e308]),
+                                      1.0, sample_count=20_000, seed=5)
+        assert both.value == 0.0
         if combiner == "sco":
             ref = outage_monte_carlo(combiner, _topology([1.0, 1.0]), 1.0,
                                      sample_count=20_000, seed=5)
@@ -395,6 +399,45 @@ class TestJdQuadrature:
     def test_non_finite_input_rejected(self, snrs, r_c):
         with pytest.raises(DomainError):
             outage_jd_quadrature(snrs, r_c)
+
+    @pytest.mark.parametrize("snrs", [[1e-30, 1.0], [1.0, 1e-30],
+                                      [1e-30, 1.0, 1.0], [1e-30, 1e-30, 1.0]])
+    def test_weak_link_adds_nothing(self, snrs):
+        # A link of mean 1e-30 carries a rate share of about 1e-30. Its
+        # range ends at log2(1 + 745 G), which used to round to 0, and the
+        # outage read 0.
+        strong = [g for g in snrs if g == 1.0]
+        assert outage_jd_quadrature(snrs, 0.5).value == pytest.approx(
+            outage_jd_quadrature(strong, 0.5).value, rel=1e-8)
+
+    @pytest.mark.parametrize("snrs", [[1e-310, 1.0], [1.0, 5e-324]])
+    def test_subnormal_mean_raises_at_once(self, snrs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                outage_jd_quadrature(snrs, 0.5)
+
+    # If every rate share is below R/N, their sum is below R, so P_JD is at
+    # least the product of P(gamma_i < A_1(R/N)); C_JD >= C_SC bounds it
+    # from above. The slack is the quadrature's 1e-8 relative tolerance.
+    # QuadratureError is the documented way out: a last link about 47-56 dB
+    # below two others (0, 0, -47 dB at R = 1) has a CDF that rises
+    # steeply at the end of every inner range, which equal panels do not
+    # resolve within the node cap.
+    @settings(max_examples=100, deadline=None)
+    @given(snrs_db=st.lists(st.floats(-200.0, 80.0), min_size=2, max_size=3),
+           r_c=st.floats(1e-3, 16.0))
+    def test_between_equal_share_bound_and_selection(self, snrs_db, r_c):
+        snrs = [10.0 ** (x / 10.0) for x in snrs_db]
+        try:
+            value = outage_jd_quadrature(snrs, r_c).value
+        except QuadratureError:
+            return
+        a1 = coding_constant(1, r_c / len(snrs))
+        lower = math.prod(-math.expm1(-a1 / g) for g in snrs)
+        slack = 1.0 + 1e-8
+        assert lower <= value * slack
+        assert value <= outage_exact_closed("sc", snrs, r_c).value * slack
 
     @pytest.mark.parametrize("n,snr_db,spacing,r_c", JD_MPMATH_CASES)
     def test_agrees_with_mpmath(self, n, snr_db, spacing, r_c):

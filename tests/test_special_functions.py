@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from multiconn.exceptions import DomainError
-from multiconn.special_functions import (LN2, coding_constant,
+from multiconn.exceptions import ConvergenceError, DomainError
+from multiconn.special_functions import (LN2, _coding_constants,
+                                         _inverse_rows, coding_constant,
                                          coding_constant_inverse,
                                          coding_constant_slope, coding_gain,
                                          exp_sum, lambert_w_asymptotic,
@@ -175,6 +177,57 @@ class TestCodingConstantInverse:
             coding_constant_inverse(2, 0.0)
         with pytest.raises(DomainError):
             coding_constant_inverse(2, 1.0, mode="bogus")
+
+
+# Arguments from the smallest subnormal to 1e308, on both sides of the A_N
+# tail switch (r ln 2 = N/2) and of the inverse's seed switch (zeta = e),
+# plus the rows the kernels take without the scalar's checks.
+_ARGS = sorted({*np.geomspace(5e-324, 1e308, 241).tolist(),
+                *np.geomspace(1e-6, 1e3, 120).tolist(),
+                *(0.5 * n / LN2 * f for n in range(2, 13)
+                  for f in (1 - 1e-12, 1 + 1e-12))})
+_EDGE_ARGS = [0.0, math.nan, math.inf, -math.inf, -5e-324, -1e-3, -1.0,
+              -3000.0]
+
+
+def _scalar_or_none(func, *args):
+    try:
+        return func(*args)
+    except (DomainError, ConvergenceError):
+        return None
+
+
+def _assert_kernel_matches(values, args, scalar):
+    # Where the scalar returns, the same bits (as int64 views), but 0 of
+    # either sign at 0; where it raises, nan, inf or 0. A negative row has
+    # no value of meaning: the kernel only has to return.
+    for arg, value in zip(args.tolist(), values.tolist()):
+        want = _scalar_or_none(scalar, arg)
+        if arg < 0:
+            continue
+        if want is None:
+            assert value == 0 or not math.isfinite(value), (arg, value)
+        elif arg == 0:
+            assert value == 0, value
+        else:
+            assert (np.array(value).view(np.int64)
+                    == np.array(want).view(np.int64)), (arg, value, want)
+
+
+class TestColumnKernels:
+    @pytest.mark.parametrize("n", [*range(1, 13), 171, 200])
+    def test_coding_constants_match_scalar(self, n):
+        rates = np.array(_ARGS + _EDGE_ARGS)
+        _assert_kernel_matches(_coding_constants(n, rates), rates,
+                               lambda r: coding_constant(n, r))
+
+    @pytest.mark.parametrize("mode", ["refined", "paper"])
+    @pytest.mark.parametrize("n", [*range(2, 13), 171, 200])
+    def test_inverse_rows_match_scalar(self, n, mode):
+        targets = np.array(_ARGS + _EDGE_ARGS)
+        _assert_kernel_matches(
+            _inverse_rows(n, targets, mode), targets,
+            lambda y: coding_constant_inverse(n, y, mode=mode))
 
 
 class TestCodingGain:
