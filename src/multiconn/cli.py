@@ -543,6 +543,10 @@ def cdf_cmd(preset, trace_path, synth_measurements, synth_bs, seed, n_links,
     if trace_path:
         trace = field_trial.load_trace(trace_path)
     else:
+        # A synthetic measurement has --synth-bs links; more is a bad value.
+        top = max(_plan_n(Combiner.parse(c), max(n_links)) for c in combiners)
+        if top > synth_bs:
+            raise DomainError(f"--n-links {top} exceeds --synth-bs {synth_bs}")
         trace = field_trial.synthesize_trace(synth_measurements, synth_bs,
                                              seed=seed)
 

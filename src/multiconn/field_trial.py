@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -31,13 +30,6 @@ from .throughput import _rate_inverse, throughput_asymptotic
 
 TRACE_HEADER = ("measurement_id", "bs_id", "avg_snr_db")
 CDF_HEADER = ("value", "probability")
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    measurement_id: int
-    bs_id: str
-    avg_snr_db: float
 
 
 class SnrTrace:
@@ -89,43 +81,17 @@ class SnrTrace:
         self._ranked_snr = snr[order]
 
     @property
-    def records(self) -> "TraceRecords":
-        """The rows as records, in file order (a view over the columns)."""
-        return TraceRecords(self)
+    def records(self) -> np.recarray:
+        """The rows in file order, as a new record array (``TRACE_HEADER``)."""
+        return np.rec.fromarrays(
+            (self.measurement_id, self.bs_id, self.avg_snr_db),
+            names=TRACE_HEADER)
 
     def __eq__(self, other):
         return isinstance(other, SnrTrace) and all(
             np.array_equal(a, b) for a, b in zip(
                 (self.measurement_id, self.bs_id, self.avg_snr_db),
                 (other.measurement_id, other.bs_id, other.avg_snr_db)))
-
-
-class TraceRecords(Sequence):
-    """Read-only view of a trace's rows as ``TraceRecord``s, each built
-    when it is read. Equal to a tuple or view with equal records."""
-
-    def __init__(self, trace: SnrTrace):
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return self._trace.measurement_id.size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self))[index]))
-        t = self._trace
-        return TraceRecord(int(t.measurement_id[index]), str(t.bs_id[index]),
-                           float(t.avg_snr_db[index]))
-
-    def __iter__(self):
-        t = self._trace
-        return map(TraceRecord, t.measurement_id.tolist(), t.bs_id.tolist(),
-                   t.avg_snr_db.tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, (tuple, TraceRecords)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 @dataclass(frozen=True)

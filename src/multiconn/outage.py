@@ -214,14 +214,16 @@ def outage_jd_quadrature(avg_snrs: Sequence[float],
                          r_c: float) -> OutageEstimate:
     """Exact JD outage via nested Gauss-Legendre quadrature.
 
-    Integrates over the rate shares x_i = log2(1 + gamma_i) of the first
-    N-1 links, each on [0, min(remaining rate, log2(1 + 745 G_i))]; the
-    last link's CDF is closed form. Panels double until two successive
-    estimates agree to 1e-8 relative. Supports N <= 4; DomainError where
-    A_1(r_c) = 2^r_c - 1 overflows a float, or where an average SNR is
-    below ln 2 / DBL_MAX (about 3.9e-309).
+    Integrates over the rate shares x_i = log2(1 + gamma_i) of all links but
+    the strongest, weakest outermost, each on [0, min(remaining rate,
+    log2(1 + 745 G_i))]; the strongest link's CDF is closed form, so the
+    value does not depend on the link order. Panels double until two
+    successive estimates agree to 1e-8 relative. Supports N <= 4;
+    DomainError where A_1(r_c) = 2^r_c - 1 overflows a float, or where an
+    average SNR is below ln 2 / DBL_MAX (about 3.9e-309).
     """
-    snrs = _require_snrs(avg_snrs)
+    # Ascending: equal panels miss the steep CDF of a weak last link.
+    snrs = sorted(_require_snrs(avg_snrs))
     n = len(snrs)
     if n > MAX_QUADRATURE_LINKS:
         raise UnsupportedLinkCountError(

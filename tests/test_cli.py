@@ -167,6 +167,8 @@ class TestValidationExits:
          "--distances", "1,2"),
         ("synth-trace", "--mean-db", "nan"),
         ("synth-trace", "--mean-db", "inf"),
+        ("cdf", "--rate", "1", "--synth-measurements", "3", "--synth-bs", "2",
+         "--n-links", "3"),
     ])
     def test_exit_code_2(self, capsys, argv):
         assert cli.main(list(argv)) == 2
@@ -624,6 +626,20 @@ class TestCdfCommand:
                        "2", "--rate", "1", "--out", str(prefix))
         assert code == 0
         assert (tmp_path / "run_outage_sco_n1.csv").exists()
+
+    def test_links_beyond_synth_bs(self, tmp_path, capsys):
+        # A synthetic trace of 2 base stations cannot give 3 links (exit 2,
+        # it exited 4), but SCo reads only the strongest. A trace file
+        # short of links is still an I/O error.
+        argv = ("cdf", "--rate", "1", "--synth-measurements", "3",
+                "--synth-bs", "2", "--n-links", "3")
+        assert cli.main(list(argv)) == 2
+        assert "exceeds --synth-bs 2" in capsys.readouterr().err
+        assert _run(capsys, *argv, "--combiner", "sco")[0] == 0
+        path = tmp_path / "trace.csv"
+        save_trace(synthesize_trace(3, 2), path)
+        assert _run(capsys, "cdf", "--rate", "1", "--trace", str(path),
+                    "--n-links", "3")[0] == 4
 
 
 class TestSynthTraceCommand:

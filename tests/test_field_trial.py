@@ -3,7 +3,6 @@ import io
 import math
 import random
 import warnings
-from collections.abc import Sequence
 from functools import partial
 
 import numpy as np
@@ -15,7 +14,7 @@ from multiconn.exceptions import DomainError, TraceError
 from multiconn.combiners import Combiner
 from multiconn.field_trial import (CDF_HEADER, TRACE_HEADER, EmpiricalCdf,
                                    SnrModelParams,
-                                   SnrTrace, TraceRecord, _strongest_rows,
+                                   SnrTrace, _strongest_rows,
                                    empirical_outage_cdf,
                                    empirical_throughput_cdf, load_trace,
                                    save_cdf, save_trace, synthesize_trace,
@@ -74,30 +73,18 @@ class TestTraceContainer:
 
     def test_records_view(self):
         records = SMALL_TRACE.records
-        assert isinstance(records, Sequence)
+        assert records.dtype.names == TRACE_HEADER
         assert len(records) == 6
-        assert records[0] == TraceRecord(0, "BS00", 20.0)
-        assert records[-1] == TraceRecord(1, "BS02", 18.0)
-        assert records[1:3] == (TraceRecord(0, "BS01", 25.0),
-                                TraceRecord(0, "BS02", 15.0))
-        assert list(records) == [records[i] for i in range(6)]
-        assert records == tuple(records) == SMALL_TRACE.records
-        assert records != list(records)
-        assert records != tuple((r.measurement_id, r.bs_id, r.avg_snr_db)
-                                for r in records)
+        assert records.tolist() == SMALL_ROWS
+        assert list(map(type, records[-1].tolist())) == [int, str, float]
+        assert records[1:3].tolist() == SMALL_ROWS[1:3]
+        assert [tuple(r) for r in records] == SMALL_ROWS
+        assert records.bs_id.tolist() == [row[1] for row in SMALL_ROWS]
         with pytest.raises(IndexError):
             records[6]
-        with pytest.raises(TypeError):
-            records[0] = records[1]
-
-    def test_len_and_equality_build_no_record(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(field_trial, "TraceRecord",
-                            lambda *row: built.append(row))
-        a, b = synthesize_trace(50, 4, seed=1), synthesize_trace(50, 4, seed=1)
-        assert len(a.records) == 200
-        assert a == b
-        assert built == []
+        # A new array per call: writing to one leaves the trace as it was.
+        records.avg_snr_db[0] = 99.0
+        assert SMALL_TRACE.records.tolist() == SMALL_ROWS
 
     def test_equality_compares_every_column(self):
         base = [(0, "BS00", 20.0), (0, "BS01", 0.0)]
@@ -191,8 +178,8 @@ class TestTraceIo:
         path.write_text('measurement_id,bs_id,avg_snr_db\n'
                         '0,"BS,01",20.0\n"1", BS02 ,"2.5"\n')
         assert field_trial._bulk_columns(path.read_text()) is None
-        assert load_trace(path).records == (TraceRecord(0, "BS,01", 20.0),
-                                            TraceRecord(1, "BS02", 2.5))
+        assert load_trace(path).records.tolist() == [(0, "BS,01", 20.0),
+                                                     (1, "BS02", 2.5)]
 
     def test_undecodable_file(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -350,14 +337,13 @@ class TestSynthesizedTrace:
             rows += [(mid, f"BS{b:02d}",
                       float(params.mean_db + offsets[b] + shadowing[b]))
                      for b in range(5)]
-        assert synthesize_trace(30, 5, seed=11).records == tuple(
-            TraceRecord(*row) for row in rows)
+        assert synthesize_trace(30, 5, seed=11).records.tolist() == rows
 
     def test_params_shift_the_mean(self):
         params = SnrModelParams(mean_db=50.0, bs_spread_db=0.5,
                                 shadowing_db=0.5)
         trace = synthesize_trace(200, 4, snr_model_params=params, seed=1)
-        mean = np.mean([r.avg_snr_db for r in trace.records])
+        mean = np.mean(trace.records.avg_snr_db)
         assert mean == pytest.approx(50.0, abs=1.0)
 
     def test_validation(self):
@@ -382,15 +368,14 @@ class TestSynthesizedTrace:
 # Brute-force reference for the trace layer: scan every row, then rank with
 # Python's sorted (descending SNR, then ascending bs_id by code point).
 def _ref_entries(rows, mid):
-    return [TraceRecord(*row) for row in rows if row[0] == mid]
+    return [row for row in rows if row[0] == mid]
 
 
 def _ref_strongest(rows, mid, n):
-    ranked = sorted(_ref_entries(rows, mid),
-                    key=lambda r: (-r.avg_snr_db, r.bs_id))
+    ranked = sorted(_ref_entries(rows, mid), key=lambda r: (-r[2], r[1]))
     if len(ranked) < n:
         return None
-    return [db_to_linear(r.avg_snr_db) for r in ranked[:n]]
+    return [db_to_linear(snr) for _, _, snr in ranked[:n]]
 
 
 def _ref_cdf(rows, n, row_value):
@@ -454,7 +439,7 @@ class TestTraceProperties:
     def test_grouping_and_ranking_match_brute_force(self, rows):
         trace = _trace(rows)
         assert len(trace.records) == len(rows)
-        assert trace.records == tuple(TraceRecord(*row) for row in rows)
+        assert trace.records.tolist() == rows
         ids = sorted({row[0] for row in rows})
         for n in range(1, 5):
             expected = [snrs for snrs in (_ref_strongest(rows, mid, n)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import multiprocessing
 import os
@@ -14,11 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from multiconn import link_model, outage
+from multiconn import cli, link_model, outage
 from multiconn.combiners import Combiner
 from multiconn.exceptions import (DomainError, QuadratureError,
                                   UnsupportedLinkCountError)
-from multiconn.link_model import CHUNK_SIZE, Link, Topology, average_snrs
+from multiconn.link_model import (CHUNK_SIZE, Link, Topology, average_snrs,
+                                  db_to_linear, equal_power_topology)
 from multiconn.outage import (OutageEstimate, asymptotic_outage_value,
                               instantaneous_capacity, outage_asymptotic,
                               outage_exact_closed, outage_jd_lower_bound_tse,
@@ -42,20 +44,28 @@ def _topology(means):
                     bandwidth=20e6)
 
 
-def _jd_mpmath(snrs, r_c):
+def _jd_mpmath(snrs, r_c, weak_first=False):
     # 20-digit nested quadrature over the rate shares x_i = log2(1 + g_i)
     # on [0, remaining rate], split around each density's peak at
-    # log2(1 + G_i); the last link's CDF is closed form.
+    # log2(1 + G_i); the last link's CDF is closed form. ``weak_first``
+    # takes the links in ascending mean (the weakest outermost) and splits
+    # each range at rate * 10^-k (k = 1..12) instead, which resolves a weak
+    # link's density, all of it within a few G of 0, at any scale of G; the
+    # peak splits read 0.0 for [5e-6, 5] at R = 1.
     with mp.workdps(20):
         ln2 = mp.log(2)
-        means = [mp.mpf(g) for g in snrs]
+        means = [mp.mpf(g) for g in (sorted(snrs) if weak_first else snrs)]
 
         def level(i, rate):
             mean = means[i]
             if i == len(means) - 1:
                 return -mp.expm1(-mp.expm1(rate * ln2) / mean)
-            peak = mp.log(1 + mean, 2)
-            cuts = [peak + d for d in (-2, 2, 4, 6) if 0 < peak + d < rate]
+            if weak_first:
+                cuts = [rate * mp.mpf(10) ** -k for k in range(12, 0, -1)]
+            else:
+                peak = mp.log(1 + mean, 2)
+                cuts = [peak + d for d in (-2, 2, 4, 6)
+                        if 0 < peak + d < rate]
 
             def integrand(x):
                 density = ln2 / mean * mp.exp(x * ln2
@@ -420,24 +430,50 @@ class TestJdQuadrature:
     # If every rate share is below R/N, their sum is below R, so P_JD is at
     # least the product of P(gamma_i < A_1(R/N)); C_JD >= C_SC bounds it
     # from above. The slack is the quadrature's 1e-8 relative tolerance.
-    # QuadratureError is the documented way out: a last link about 47-56 dB
-    # below two others (0, 0, -47 dB at R = 1) has a CDF that rises
-    # steeply at the end of every inner range, which equal panels do not
-    # resolve within the node cap.
     @settings(max_examples=100, deadline=None)
     @given(snrs_db=st.lists(st.floats(-200.0, 80.0), min_size=2, max_size=3),
            r_c=st.floats(1e-3, 16.0))
     def test_between_equal_share_bound_and_selection(self, snrs_db, r_c):
         snrs = [10.0 ** (x / 10.0) for x in snrs_db]
-        try:
-            value = outage_jd_quadrature(snrs, r_c).value
-        except QuadratureError:
-            return
+        value = outage_jd_quadrature(snrs, r_c).value
         a1 = coding_constant(1, r_c / len(snrs))
         lower = math.prod(-math.expm1(-a1 / g) for g in snrs)
         slack = 1.0 + 1e-8
         assert lower <= value * slack
         assert value <= outage_exact_closed("sc", snrs, r_c).value * slack
+
+    # A last link far below the others has a CDF that steps from 0 to 1 at
+    # the end of each inner range, which equal panels miss: [5, 5e-6] read
+    # 0.18126924692 (9e-6 relative off), and [1, 1, 2e-5] raised
+    # QuadratureError.
+    @pytest.mark.parametrize("snrs", [[5.0, 5e-6], [5e-6, 5.0]])
+    def test_weak_link_in_either_order_agrees_with_mpmath(self, snrs):
+        assert outage_jd_quadrature(snrs, 1.0).value == pytest.approx(
+            _jd_mpmath(snrs, 1.0, weak_first=True), rel=1e-10)
+
+    @pytest.mark.parametrize("snrs_db,r_c", [
+        ([0.0, 60.0], 0.5), ([0.0, 60.0], 8.0), ([0.0, 30.0, 60.0], 2.0),
+        ([60.0, 60.0, 0.0], 4.0), ([0.0, 0.0, -47.0], 1.0),
+        ([0.0, -47.0, -47.0], 1.0)])
+    def test_value_does_not_depend_on_link_order(self, snrs_db, r_c):
+        snrs = [10.0 ** (x / 10.0) for x in snrs_db]
+        assert len({outage_jd_quadrature(list(order), r_c).value
+                    for order in itertools.permutations(snrs)}) == 1
+
+    def test_weak_link_from_the_cli_agrees_with_mpmath(self, capsys):
+        # Link 2 at distance 1000 is 60 dB below link 1.
+        assert cli.main(["outage", "--method", "exact", "--combiner", "jd",
+                         "--n-links", "2", "--distances", "1,1000",
+                         "--snr-db-range", "10:20:2", "--rate", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "snr_db,jd_n2_exact,flags"
+        for line in lines[1:]:
+            snr_db, value, _ = line.split(",")
+            topo = equal_power_topology(db_to_linear(float(snr_db)),
+                                        [1.0, 1000.0], 2.0, 1.0)
+            assert float(value) == pytest.approx(
+                _jd_mpmath(average_snrs(topo), 1.0, weak_first=True),
+                rel=1e-10)
 
     @pytest.mark.parametrize("n,snr_db,spacing,r_c", JD_MPMATH_CASES)
     def test_agrees_with_mpmath(self, n, snr_db, spacing, r_c):
