@@ -17,10 +17,10 @@ from .special_functions import (_each, _inverse_rows,
                                 coding_constant_inverse)
 
 DEFAULT_RATE_BRACKET = (1e-6, 64.0)
-# Bisection stops once its step is below _RATE_XTOL + _RATE_RTOL * |mid|.
+# The rate root is the midpoint of a bracket no wider than 2 * _RATE_XTOL.
 _RATE_XTOL = 1e-6
-_RATE_RTOL = 4 * math.ulp(1.0)
-_MAX_BISECTIONS = 100
+_MAX_ROOT_ITERATIONS = 100
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -72,12 +72,16 @@ def _rate_inverse(combiner: Combiner, n: int, mode: str = "refined"):
 
 
 def achievable_rate_exact(combiner, topology: Topology, p_out: float) -> float:
-    """Bisect DEFAULT_RATE_BRACKET for the rate where exact P_out = p_out.
+    """The rate in DEFAULT_RATE_BRACKET where the exact P_out equals p_out.
 
     Uses the closed forms for SC/MRC/SCo and nested quadrature for JD
     (N <= 4; larger N is refused rather than falling back to a noisy
-    Monte-Carlo objective). The midpoints and the returned root are those
-    of ``scipy.optimize.bisect`` with ``xtol=1e-6`` and its default rtol.
+    Monte-Carlo objective). A secant on g = ln P_out - ln p_out, seeded by
+    ``achievable_rate_asymptotic``, narrows a bracket [a, b] with
+    g(a) < 0 < g(b); a step that leaves the bracket, an iterate where the
+    outage is 0.0, or a seed that raises is replaced by a bisection. The
+    root returned is the midpoint of a bracket no wider than 2e-6, so it
+    lies within 1e-6 of the true root, or a rate where P_out is p_out.
     """
     combiner = Combiner.parse(combiner)
     _require_probability("p_out", p_out)
@@ -102,19 +106,43 @@ def achievable_rate_exact(combiner, topology: Topology, p_out: float) -> float:
         return lo
     if f_hi == 0:
         return hi
-    # scipy.optimize.bisect's steps: lo moves up to each midpoint whose
-    # f has the sign of f(lo); stop on a zero or a step within tolerance.
-    step = hi - lo
-    for _ in range(_MAX_BISECTIONS):
-        step *= 0.5
-        mid = lo + step
-        f_mid = exact(mid) - p_out
-        if f_mid * f_lo >= 0:
-            lo = mid
-        if f_mid == 0 or abs(step) < _RATE_XTOL + _RATE_RTOL * abs(mid):
-            return mid
+    log_p = math.log(p_out)
+    n = 1 if combiner is Combiner.SCO else len(snrs)
+    try:
+        r_c = achievable_rate_asymptotic(combiner, snrs, p_out)
+    except (DomainError, ConvergenceError):
+        r_c = math.nan
+    last = None  # the previous iterate with a finite g, as (rate, g)
+    for _ in range(_MAX_ROOT_ITERATIONS):
+        if not lo < r_c < hi:
+            r_c = 0.5 * (lo + hi)
+        value = exact(r_c)
+        if value == p_out:
+            return r_c
+        if value < p_out:
+            lo = r_c
+        else:
+            hi = r_c
+        if hi - lo <= 2 * _RATE_XTOL:
+            return 0.5 * (lo + hi)
+        if value == 0:
+            r_c = math.nan  # ln 0: bisect
+            continue
+        g = math.log(value) - log_p
+        if last is None:  # high-SNR slope: P_out ~ (2^R - 1)^N
+            slope = n * _LN2 / -math.expm1(-_LN2 * r_c)
+        else:
+            slope = (g - last[1]) / (r_c - last[0])
+        last = r_c, g
+        if not slope > 0:
+            r_c = math.nan
+            continue
+        # A step below the tolerance is lengthened to it, so that the next
+        # iterate lands past a root that close.
+        step = g / slope
+        r_c -= math.copysign(max(abs(step), _RATE_XTOL), value - p_out)
     raise ConvergenceError(
-        f"rate bisection did not converge in {_MAX_BISECTIONS} steps")
+        f"rate root did not converge in {_MAX_ROOT_ITERATIONS} steps")
 
 
 def throughput_asymptotic(combiner, avg_snrs: Sequence[float], p_out: float,

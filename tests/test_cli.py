@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from multiconn import cli, special_functions
 from multiconn import outage as outage_mod
+from multiconn import throughput as throughput_mod
 from multiconn.field_trial import load_trace, save_trace, synthesize_trace
 from multiconn.link_model import db_to_linear
 from multiconn.selftest import run_selftest
@@ -480,6 +481,21 @@ class TestThroughputCommand:
             p_t = db_to_linear(float(row[0]))
             assert row[1] == repr(throughput_asymptotic(
                 "sco", [p_t * 3 ** -2.0], 1e-3, 20e6).throughput)
+
+    def test_exact_root_failures(self, capsys, monkeypatch):
+        # An unattainable target leaves an undefined cell; a root that does
+        # not converge exits 3.
+        argv = ["throughput", "--method", "exact", "--combiner", "sc",
+                "--snr-db-range", "-100:20:2", "--outage", "1e-3"]
+        code, out = _run(capsys, *argv)
+        assert code == 0
+        _, rows = _rows(out)
+        assert rows[0][1:] == ["nan", "sc_n2_exact:undefined"]
+        assert float(rows[1][1]) > 0 and rows[1][2] == ""
+        monkeypatch.setattr(throughput_mod, "_MAX_ROOT_ITERATIONS", 1)
+        code, _, err = _capture(argv)
+        assert code == 3 and "numeric failure" in err
+        assert "did not converge" in err
 
     def test_exact_tracks_asymptotic_at_high_snr(self, capsys):
         code, out = _run(capsys, "throughput", "--combiner", "mrc",

@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import bisect
+from scipy.optimize import bisect, brentq
 
-from multiconn.exceptions import BracketError, DomainError
+from multiconn import throughput
+from multiconn.exceptions import BracketError, ConvergenceError, DomainError
 from multiconn.link_model import Link, Topology
 from multiconn.outage import outage_exact_closed, outage_jd_quadrature
 from multiconn.special_functions import (coding_constant,
@@ -19,6 +21,26 @@ from multiconn.throughput import (DEFAULT_RATE_BRACKET,
 def _topology(means):
     return Topology(links=tuple(Link(m, 1.0, 2.0) for m in means),
                     bandwidth=20e6)
+
+
+ROOT_MEANS = [[5.0], [0.3, 0.3], [5.0, 9.0], [40.0, 70.0, 100.0],
+              [1e3, 1e3 * (1 + 1e-6), 2e3], [2.0, 3.0, 5.0, 8.0, 13.0, 21.0]]
+
+
+def _exact(combiner, means, r_c):
+    if combiner == "jd":
+        return outage_jd_quadrature(means, r_c).value
+    return outage_exact_closed(combiner, means, r_c).value
+
+
+def _assert_root(combiner, means, p_out, r_c):
+    """Within 1e-6 of a tight brentq root, and P(r - 1e-6) <= p_out <=
+    P(r + 1e-6)."""
+    expected = brentq(lambda r: _exact(combiner, means, r) - p_out,
+                      *DEFAULT_RATE_BRACKET, xtol=1e-12)
+    assert abs(r_c - expected) <= 1e-6
+    assert (_exact(combiner, means, r_c - 1e-6) <= p_out
+            <= _exact(combiner, means, r_c + 1e-6))
 
 
 class TestThroughputFromRate:
@@ -114,17 +136,84 @@ class TestExactRate:
         assert achieved == pytest.approx(p, rel=1e-3)
 
     @pytest.mark.parametrize("combiner", ["sc", "mrc", "sco"])
-    @pytest.mark.parametrize("means", [
-        [5.0], [0.3, 0.3], [5.0, 9.0], [40.0, 70.0, 100.0],
-        [1e3, 1e3 * (1 + 1e-6), 2e3], [2.0, 3.0, 5.0, 8.0, 13.0, 21.0]])
+    @pytest.mark.parametrize("means", ROOT_MEANS)
     @pytest.mark.parametrize("p_out", [1e-5, 1e-3, 0.05, 0.5, 0.99])
     def test_root_bit_identical_to_scipy_bisect(self, combiner, means, p_out):
-        def objective(r_c):
-            return outage_exact_closed(combiner, means, r_c).value - p_out
+        # The name is from when the root was a bisection with the bits of
+        # scipy.optimize.bisect. The secant root now meets the brentq
+        # contract, and stays within 2e-6 of that bisection root: the rate
+        # tolerance perfbench's check allows against the stored bisection
+        # references.
+        r_c = achievable_rate_exact(combiner, _topology(means), p_out)
+        _assert_root(combiner, means, p_out, r_c)
+        bisected = bisect(lambda r: _exact(combiner, means, r) - p_out,
+                          *DEFAULT_RATE_BRACKET, xtol=1e-6)
+        assert abs(r_c - bisected) <= 2e-6
 
-        expected = bisect(objective, *DEFAULT_RATE_BRACKET, xtol=1e-6)
-        assert achievable_rate_exact(combiner, _topology(means),
-                                     p_out) == expected
+    @pytest.mark.parametrize("means", [
+        pytest.param(means, id=f"means{i}")
+        for i, means in enumerate(ROOT_MEANS) if len(means) <= 3])
+    @pytest.mark.parametrize("p_out", [1e-5, 1e-3, 0.05, 0.5, 0.99])
+    def test_joint_decoding_root_within_tolerance_of_brentq(self, means,
+                                                            p_out):
+        r_c = achievable_rate_exact("jd", _topology(means), p_out)
+        _assert_root("jd", means, p_out, r_c)
+
+    @pytest.mark.parametrize("seed", [
+        DomainError("seed"), ConvergenceError("seed"), math.nan, 0.0,
+        5e-7, 64.0, 100.0, math.inf])
+    def test_any_seed_gives_the_root(self, monkeypatch, seed):
+        # The asymptotic seed may raise or fall outside the bracket; the
+        # root then starts from a bisection.
+        def fake_seed(*args, **kwargs):
+            if isinstance(seed, Exception):
+                raise seed
+            return seed
+
+        monkeypatch.setattr(throughput, "achievable_rate_asymptotic",
+                            fake_seed)
+        for combiner, means, p_out in [("sc", [5.0, 9.0], 1e-2),
+                                       ("jd", [20.0, 30.0], 1e-3)]:
+            r_c = achievable_rate_exact(combiner, _topology(means), p_out)
+            _assert_root(combiner, means, p_out, r_c)
+
+    def test_zero_outage_iterate_bisects(self, monkeypatch):
+        # An outage that reads 0.0 below 0.9 of the root (as an underflow
+        # would) has no logarithm: the next iterate is the bracket's
+        # midpoint.
+        means, p_out = [5.0, 9.0], 1e-2
+        root = achievable_rate_exact("sc", _topology(means), p_out)
+        rates = []
+
+        def underflowing(combiner, snrs, r_c):
+            rates.append(r_c)
+            est = outage_exact_closed(combiner, snrs, r_c)
+            return SimpleNamespace(value=est.value if r_c >= 0.9 * root
+                                   else 0.0)
+
+        monkeypatch.setattr(throughput, "outage_exact_closed", underflowing)
+        monkeypatch.setattr(throughput, "achievable_rate_asymptotic",
+                            lambda *args, **kwargs: 0.5 * root)
+        r_c = achievable_rate_exact("sc", _topology(means), p_out)
+        lo, hi = DEFAULT_RATE_BRACKET
+        assert rates[:4] == [lo, hi, 0.5 * root, 0.5 * (0.5 * root + hi)]
+        _assert_root("sc", means, p_out, r_c)
+
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_target_at_a_bracket_end_returns_it(self, monkeypatch, end):
+        p_out = 1e-3
+        rate = DEFAULT_RATE_BRACKET[end]
+
+        def outage(combiner, snrs, r_c):
+            return SimpleNamespace(value=p_out * r_c / rate)
+
+        monkeypatch.setattr(throughput, "outage_exact_closed", outage)
+        assert achievable_rate_exact("sc", _topology([5.0]), p_out) == rate
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(throughput, "_MAX_ROOT_ITERATIONS", 1)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            achievable_rate_exact("sc", _topology([5.0, 9.0]), 1e-2)
 
     def test_unattainable_target_raises(self):
         # At SNRs of 1e-9 the outage at the bracket's lowest rate, 1e-6,
