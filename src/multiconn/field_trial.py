@@ -14,7 +14,6 @@ import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -119,41 +118,41 @@ _DATA_LINE = re.compile(r"^[^\S\n]*[^\s#].*", re.MULTILINE)
 
 
 def _bulk_columns(text: str):
-    """The columns of a trace text, each field converted by the csv loop's
-    own converter a whole column at a time; None where only the loop may
-    read it: a quote, a lone CR, no data row, a line without 3 fields or
-    longer than csv.field_size_limit(), a header other than TRACE_HEADER,
-    a field int or float rejects, or a non-finite SNR."""
+    """The columns of a trace text as numpy's C reader (np.loadtxt, numpy
+    >= 2.4; older numpy reads a non-int64 id as a float) parses them; None
+    where only the csv loop may read it: a quote, a lone CR, a \\x1c-\\x1f
+    (numpy strips it around a number), a line over csv.field_size_limit(),
+    no data row, a header other than TRACE_HEADER, a row np.loadtxt rejects
+    or a non-finite SNR. bs_id is an object field (a str one reads '' or
+    truncates); comments=None, as the loop rejects an inline '#' comment."""
     if "\r" in text:
         text = text.replace("\r\n", "\n")
-    if '"' in text or "\r" in text:
-        return None
     lines = _DATA_LINE.findall(text)
     # A field is no longer than its line.
     if (len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit()
-            or set(map(str.count, lines, repeat(","))) != {2}):
-        return None
-    fields = ",".join(lines).split(",")
-    del lines  # peak memory: the fields hold the same text
-    if tuple(map(str.strip, fields[:3])) != TRACE_HEADER:
+            or tuple(map(str.strip, lines[0].split(","))) != TRACE_HEADER
+            or any(c in text for c in '"\r\x1c\x1d\x1e\x1f')):
         return None
     try:
-        ids = list(map(int, fields[3::3]))
-        snrs = list(map(float, fields[5::3]))
+        table = np.loadtxt(lines[1:], delimiter=",", comments=None, dtype=[
+            ("measurement_id", np.int64), ("bs_id", object),
+            ("avg_snr_db", np.float64)], ndmin=1)
     except ValueError:
         return None
-    if not all(map(math.isfinite, snrs)):
+    del lines  # peak memory: the table holds the same fields
+    snrs = table["avg_snr_db"]
+    if not np.isfinite(snrs).all():
         return None
-    return ids, list(map(str.strip, fields[4::3])), snrs
+    return (table["measurement_id"].tolist(),
+            list(map(str.strip, table["bs_id"])), snrs.tolist())
 
 
 def load_trace(path) -> SnrTrace:
     """Parse a trace CSV (header measurement_id,bs_id,avg_snr_db; '#'
     comment lines ignored); every SNR must be finite.
 
-    Whole columns are converted at once; a file that needs the csv module
-    (quoted fields) or that is malformed is read line by line instead, and
-    the error names its line."""
+    numpy's C reader parses the file; a file with quoted fields or a fault
+    is read line by line by the csv module, whose error names the line."""
     return SnrTrace(*_read_columns(path))
 
 

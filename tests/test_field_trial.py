@@ -582,6 +582,18 @@ class TestBulkReader:
     # A lone CR ends the comment line, so the csv loop reads row 1.
     @example(text="measurement_id,bs_id,avg_snr_db\n0,BS00,1.0\n"
                   "# note\r1,BS01,2.0\n")
+    # The loop rejects an inline comment; a bs_id is never cut to a width;
+    # ids at both int64 edges load, and one past them goes to the loop.
+    @example(text="measurement_id,bs_id,avg_snr_db\n0,BS00,1.0 # note\n")
+    @example(text=f"measurement_id,bs_id,avg_snr_db\n0,{'B' * 40},1.0\n")
+    @example(text="measurement_id,bs_id,avg_snr_db\n"
+                  "9223372036854775807,BS00,1.0\n")
+    @example(text="measurement_id,bs_id,avg_snr_db\n"
+                  "-9223372036854775808,BS00,1.0\n")
+    @example(text="measurement_id,bs_id,avg_snr_db\n"
+                  "9223372036854775808,BS00,1.0\n")
+    # numpy strips \x1c-\x1f around a number; int and float reject them.
+    @example(text="measurement_id,bs_id,avg_snr_db\n0\x1c,BS00,1.0\n")
     def test_agrees_with_the_csv_loop(self, text, tmp_path_factory):
         path = tmp_path_factory.mktemp("trace") / "trace.csv"
         path.write_bytes(text.encode("utf-8"))
