@@ -23,7 +23,7 @@ from .exceptions import (TraceError, _require_count, _require_finite,
                          _require_nonnegative, _require_positive,
                          _require_probability)
 from .link_model import db_to_linear
-from .outage import _asymptote, _closed_form, outage_exact_closed
+from .outage import _asymptote, _closed_form
 from .special_functions import coding_constant
 from .throughput import _rate_inverse, throughput_asymptotic
 
@@ -71,9 +71,8 @@ class SnrTrace:
                              f"{(int(mid[i]), str(bs[i]))}")
         mid.flags.writeable = bs.flags.writeable = snr.flags.writeable = False
         self.measurement_id, self.bs_id, self.avg_snr_db = mid, bs, snr
-        # Stable sorts of the (mid, code) order: by -snr, then by mid.
-        order = pairs[np.argsort(-snr[pairs], kind="stable")]
-        order = order[np.argsort(mid[order], kind="stable")]
+        # By measurement, then strongest first, then bs_id.
+        order = np.lexsort((codes, -snr, mid))
         ranked_mid = mid[order]
         starts = np.flatnonzero(np.r_[True, ranked_mid[1:] != ranked_mid[:-1]])
         self._bounds = np.append(starts, mid.size)
@@ -262,11 +261,6 @@ def empirical_outage_cdf(trace: SnrTrace, n: int, r_c: float,
         with np.errstate(over="ignore"):
             values = np.minimum(_asymptote(combiner, rows.shape[1], r_c,
                                            rows.prod(axis=1)), 1.0)
-    elif combiner is Combiner.MRC:
-        # Through the public function, so that the time of its spacing
-        # routes (the costliest rows) stays visible as its own call.
-        values = [outage_exact_closed(combiner, snrs, r_c).value
-                  for snrs in rows.tolist()]
     else:
         a1 = coding_constant(1, r_c)
         values = [_closed_form(combiner, snrs, a1) for snrs in rows.tolist()]

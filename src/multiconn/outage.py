@@ -2,7 +2,9 @@
 
 Four evaluation routes are provided: streaming Monte-Carlo on the fading
 sampler, deterministic nested Gauss-Legendre quadrature for JD, high-SNR
-asymptotes, and the closed forms that exist for SC, MRC, and SCo. Bounds
+asymptotes, and the closed forms that exist for SC, MRC, and SCo; MRC with
+nearly tied average SNRs, where its closed forms are ill-conditioned, takes
+the matrix exponential of a pure-birth chain instead. Bounds
 (the equal-share lower bound for JD and the simplex upper bound for MRC)
 are exposed with explicit method tags.
 """
@@ -33,16 +35,14 @@ MAX_QUADRATURE_LINKS = 4
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MAX_NODES = 1 << 26
 _BLOCK_NODES = 1 << 20
-# Each link's range ends where its SNR exceeds this many means: for JD
-# where the density underflows (e^-745), for the MRC sum where the tail
-# mass (e^-50 ~ 2e-22) is below either rel_tol (1e-8 JD, 1e-9 MRC).
+# Each JD rate share's range ends where its SNR exceeds this many means,
+# where the density underflows (e^-745).
 _JD_TAIL_MEANS = 745.0
-_MRC_TAIL_MEANS = 50.0
 
 # MRC spacing classification: relative gaps below _EQUAL_TOL collapse to the
 # equal-SNR closed form, gaps above _DISTINCT_TOL use the partial-fraction
-# form; anything in between is too ill-conditioned for either and falls back
-# to numerical convolution.
+# form; anything in between is too ill-conditioned for either and takes the
+# matrix exponential of the pure-birth chain.
 _EQUAL_TOL = 1e-9
 _DISTINCT_TOL = 1e-4
 
@@ -173,15 +173,8 @@ def _nested_integral(levels, innermost, total: float,
     Composite Gauss-Legendre on equal panels, each level evaluated over all
     nodes of the level above at once. The panel count doubles until two
     successive estimates agree to ``rel_tol``; returns the finer one and
-    their difference. QuadratureError once that would pass _MAX_NODES, and
-    before any work where not even two estimates fit under it.
+    their difference. QuadratureError once that would pass _MAX_NODES.
     """
-    two_panels = (2 * _GL_NODES.size) ** len(levels)
-    if two_panels > _MAX_NODES:
-        raise QuadratureError(
-            f"{len(levels)} nested levels cannot give two estimates: 2 panels "
-            f"per level take {two_panels} nodes, above the cap of "
-            f"{_MAX_NODES}")
     panels, value, err = 1, math.nan, math.nan
     while (_GL_NODES.size * panels) ** len(levels) <= _MAX_NODES:
         nodes, weights = _RULES.get(panels) or _panel_rule(panels)
@@ -310,17 +303,25 @@ def outage_asymptotic(combiner, avg_snrs: Sequence[float],
                           saturated=saturated)
 
 
-def _mrc_outage_convolution(snrs: Sequence[float], threshold: float) -> float:
-    # Pr[sum of independent exponentials <= threshold], by nested quadrature
-    # over the first N-1 SNRs. Where a mean is tiny, g / mean overflows and
-    # the sum may be NaN, which the caller rejects.
-    last = snrs[-1]
-    levels = [(lambda g, mean=mean: np.exp(-g / mean) / mean,
-               _MRC_TAIL_MEANS * mean) for mean in snrs[:-1]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        value, _ = _nested_integral(levels, lambda g: -np.expm1(-g / last),
-                                    threshold, 1e-9)
-    return value
+def _mrc_birth_cdf(snrs: Sequence[float], threshold: float) -> float:
+    # Pr[sum of independent exponentials <= threshold] is entry (0, N) of
+    # exp(Q t), Q the generator of the pure-birth chain that leaves stage i
+    # at rate 1 / snrs[i]: N + 12 Taylor terms of Q t 2^-s (norm below 1/2),
+    # then s squarings, each given its exact diagonal, since a slow stage's
+    # 1 - 1e-20 rounds to 1. A stage whose rate overflows a float adds
+    # nothing to the sum in double precision, so it is left out.
+    rates = [threshold / g for g in snrs]
+    diagonal = -np.array([r for r in rates if r < math.inf] + [0.0])
+    s = max(math.frexp(-diagonal.min())[1] + 2, 0)
+    step = np.ldexp(np.diag(diagonal) - np.diag(diagonal[:-1], 1), -s)
+    term = total = np.eye(diagonal.size)
+    for k in range(1, diagonal.size + 12):
+        term = term @ step / k
+        total = total + term
+    for j in range(s - 1, -1, -1):
+        total = total @ total
+        np.fill_diagonal(total, np.exp(np.ldexp(diagonal, -j)))
+    return float(total[0, -1])
 
 
 def outage_exact_closed(combiner, avg_snrs: Sequence[float],
@@ -328,9 +329,9 @@ def outage_exact_closed(combiner, avg_snrs: Sequence[float],
     """Closed-form exact outage for SC, MRC, and SCo (JD has none).
 
     MRC routes between the equal-SNR and distinct-SNR forms based on the
-    pairwise spacing of the average SNRs; near-degenerate spacing uses a
-    numerical convolution fallback because the partial-fraction form is
-    ill-conditioned there.
+    pairwise spacing of the average SNRs; near-degenerate spacing, where
+    both forms are ill-conditioned, takes the matrix exponential of the
+    pure-birth chain whose absorption time is the SNR sum.
     """
     combiner = Combiner.parse(combiner)
     snrs = _require_snrs(avg_snrs)
@@ -368,7 +369,7 @@ def _closed_form(combiner: Combiner, snrs: list[float], a1: float) -> float:
             except (OverflowError, ValueError):  # inf - inf in the terms
                 value = math.nan
         else:
-            value = _mrc_outage_convolution(snrs, a1)
+            value = _mrc_birth_cdf(snrs, a1)
     return min(max(_require_finite("closed-form outage", value), 0.0), 1.0)
 
 

@@ -159,6 +159,15 @@ class TestExactRate:
         r_c = achievable_rate_exact("jd", _topology(means), p_out)
         _assert_root("jd", means, p_out, r_c)
 
+    def test_mrc_root_over_widely_spread_links(self):
+        # Beside the link at 8.9e5 the others' gaps are below 1e-4 of it, so
+        # MRC counts them as nearly tied; the nested convolution that served
+        # such links raised QuadratureError.
+        means, p_out = [0.26, 1.80, 94.3, 8.9e5, 111.0, 0.65], 5.5e-6
+        r_c = achievable_rate_exact("mrc", _topology(means), p_out)
+        _assert_root("mrc", means, p_out, r_c)
+        assert r_c == pytest.approx(6.3173, abs=1e-4)
+
     @pytest.mark.parametrize("seed", [
         DomainError("seed"), ConvergenceError("seed"), math.nan, 0.0,
         5e-7, 64.0, 100.0, math.inf])
