@@ -22,6 +22,9 @@ from .exceptions import (DomainError, _require_count, _require_finite,
 
 #: Fixed sampling chunk size; part of the determinism contract.
 CHUNK_SIZE = 1 << 16
+# A chunk is drawn and reduced in row blocks of about this many bytes, so
+# that each block is still in L2 cache when it is transformed and reduced.
+_BLOCK_BYTES = 1 << 20
 
 _U64_MASK = (1 << 64) - 1
 
@@ -132,41 +135,63 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _snr_chunk(means: np.ndarray, seed: int, chunk_index: int,
-               out: np.ndarray) -> np.ndarray:
-    """Fill ``out``, a C-order (rows, N) float64 array, with chunk
-    ``chunk_index`` of the sample block and return it.
+               out: np.ndarray, reduce=None) -> np.ndarray:
+    """Fill ``out`` with chunk ``chunk_index`` of the sample block, or with
+    ``reduce`` of it, and return it.
 
     The chunk is -means * log1p(-u) on the Philox draws u keyed by
-    (seed, chunk_index), bit for bit, computed in ``out`` itself. A sample
+    (seed, chunk_index), bit for bit. It is drawn and transformed in blocks
+    of about _BLOCK_BYTES, in ``out`` itself when ``out`` is a C-order
+    (rows, N) float64 array. With ``reduce``, ``out`` is a (rows, 1) column
+    and each block, drawn into a scratch array, is reduced while it is
+    still in cache: ``reduce(block)`` gives one value per row. A sample
     beyond the float range is +inf, silently: it is above every rate
     threshold, so it counts as no outage event, as its true value would.
     """
-    # random() is uniform on [0, 1); 1-u lies in (0, 1] so the log stays
-    # finite and samples stay nonnegative.
-    u = _chunk_generator(seed, chunk_index).random(out=out)
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    with np.errstate(over="ignore"):
-        return np.multiply(u, -means, out=u)
+    generator = _chunk_generator(seed, chunk_index)
+    step = max(1, _BLOCK_BYTES // (8 * means.size))
+    if reduce is not None:
+        scratch = np.empty((min(step, len(out)), means.size))
+    for start in range(0, len(out), step):
+        block = out[start:start + step]
+        if reduce is not None:
+            block = scratch[:len(block)]
+        # random() is uniform on [0, 1); 1-u lies in (0, 1] so the log
+        # stays finite and samples stay nonnegative. Successive calls
+        # continue the stream, so the blocks join into the whole-chunk draw.
+        generator.random(out=block)
+        np.negative(block, out=block)
+        np.log1p(block, out=block)
+        with np.errstate(over="ignore"):
+            np.multiply(block, -means, out=block)
+        if reduce is not None:
+            out[start:start + step, 0] = reduce(block)
+    return out
 
 
-def iter_snr_chunks(topology: Topology, count: int,
-                    seed: int) -> Iterator[np.ndarray]:
-    """Yield sample chunks of at most CHUNK_SIZE rows each.
+def iter_snr_chunks(topology: Topology, count: int, seed: int,
+                    reduce=None) -> Iterator[np.ndarray]:
+    """Yield sample chunks of at most CHUNK_SIZE rows each, (rows, N).
 
     Chunk ``i`` depends only on (seed, i), so chunks may be generated in any
     order or concurrently without changing the assembled block. They are
     drawn on a thread pool, one chunk per worker ahead of the consumer, and
-    yielded in order.
+    yielded in order. With ``reduce``, a function that maps a (rows, N)
+    block of a chunk, which it may overwrite, to one value per row, the
+    worker that draws a chunk also reduces it, block by block while each
+    block is in cache, and the chunk is yielded as a (rows, 1) column of
+    those values.
     """
     _require_count("count", count, 1)
     means = average_snrs(topology)
+    width = len(means) if reduce is None else 1
     ahead = collections.deque()
     for chunk_index, start in enumerate(range(0, count, CHUNK_SIZE)):
-        # Allocated here and only filled on a worker, so the samples live
+        # Allocated here and only filled on a worker, so the chunks live
         # in the caller's malloc arena rather than in one per worker.
-        out = np.empty((min(CHUNK_SIZE, count - start), len(means)))
-        ahead.append(_POOL.submit(_snr_chunk, means, seed, chunk_index, out))
+        out = np.empty((min(CHUNK_SIZE, count - start), width))
+        ahead.append(_POOL.submit(_snr_chunk, means, seed, chunk_index, out,
+                                  reduce))
         if len(ahead) > _WORKERS:
             yield ahead.popleft().result()
     while ahead:

@@ -11,6 +11,8 @@ are exposed with explicit method tags.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -91,21 +93,36 @@ def _capacity_rows(combiner: Combiner, block: np.ndarray) -> np.ndarray:
     overwrite. The bits equal the row formulas of
     ``instantaneous_capacity`` taken with numpy's ``axis=1`` reductions.
 
-    SC folds the columns with np.maximum: the same values as
-    ``max(axis=1)``, without reducing along each short row.
+    SC folds the columns with np.maximum, and MRC and JD below 8 columns
+    with np.add: the same values as ``max(axis=1)`` and ``sum(axis=1)``,
+    without reducing along each short row.
     """
     if combiner is Combiner.JD:
-        return np.log2(np.add(block, 1.0, out=block), out=block).sum(axis=1)
+        return _row_sums(np.log2(np.add(block, 1.0, out=block), out=block))
     if combiner is Combiner.MRC:
         # A sum beyond the float range is +inf, never an outage event.
         with np.errstate(over="ignore"):
-            rows = block.sum(axis=1)
+            rows = _row_sums(block)
+    elif combiner is Combiner.SC:
+        rows = _fold_columns(np.maximum, block)
     else:
         rows = block[:, 0].copy()
-        if combiner is Combiner.SC:
-            for j in range(1, block.shape[1]):
-                np.maximum(rows, block[:, j], out=rows)
     return np.log2(np.add(rows, 1.0, out=rows), out=rows)
+
+
+def _row_sums(block: np.ndarray) -> np.ndarray:
+    # numpy's pairwise sum adds fewer than 8 values in order, so there the
+    # column fold has the bits of sum(axis=1).
+    if block.shape[1] < 8:
+        return _fold_columns(np.add, block)
+    return block.sum(axis=1)
+
+
+def _fold_columns(ufunc, block: np.ndarray) -> np.ndarray:
+    rows = block[:, 0].copy()
+    for j in range(1, block.shape[1]):
+        ufunc(rows, block[:, j], out=rows)
+    return rows
 
 
 def outage_monte_carlo(combiner, topology: Topology, r_c: float,
@@ -115,7 +132,9 @@ def outage_monte_carlo(combiner, topology: Topology, r_c: float,
 
     Streams fixed-size chunks from the deterministic sampler, so the result
     depends only on (topology, r_c, sample_count, seed), never on the
-    number of threads that draw the chunks. The confidence half-width is
+    number of threads that draw the chunks. The thread that draws a chunk
+    also turns it into one capacity per row; the calling thread counts the
+    rows below r_c, chunk by chunk in order. The confidence half-width is
     the 95% normal approximation; estimates backed by fewer than 100 outage
     events are flagged unreliable.
     """
@@ -123,8 +142,10 @@ def outage_monte_carlo(combiner, topology: Topology, r_c: float,
     _require_count("sample_count", sample_count, _MIN_MC_SAMPLES)
     _require_nonnegative("r_c", r_c)
     events = 0
-    for block in iter_snr_chunks(topology, sample_count, seed):
-        events += int(np.count_nonzero(_capacity_rows(combiner, block) < r_c))
+    for column in iter_snr_chunks(
+            topology, sample_count, seed,
+            reduce=functools.partial(_capacity_rows, combiner)):
+        events += int(np.count_nonzero(column < r_c))
     p = events / sample_count
     ci = _CI_Z * math.sqrt(p * (1.0 - p) / sample_count)
     return OutageEstimate(value=p, method="monte-carlo", ci_half_width=ci,
@@ -354,7 +375,7 @@ def _closed_form(combiner: Combiner, snrs: list[float], a1: float) -> float:
     elif combiner is Combiner.SC:
         value = math.prod(-math.expm1(-a1 / g) for g in snrs)
     else:  # MRC
-        kind = _spacing_kind(snrs)
+        kind, value = _spacing_kind(snrs), math.nan
         if kind == "equal":
             a = a1 / (sum(snrs) / n)
             value = 1.0 - math.exp(-a) * _exp_sum(n, a)
@@ -364,11 +385,10 @@ def _closed_form(combiner: Combiner, snrs: list[float], a1: float) -> float:
                 prod = math.prod(1.0 / (gi - gj)
                                  for j, gj in enumerate(snrs) if j != i)
                 terms.append(gi ** (n - 1) * -math.expm1(-a1 / gi) * prod)
-            try:
-                value = math.fsum(terms)
-            except (OverflowError, ValueError):  # inf - inf in the terms
-                value = math.nan
-        else:
+            with contextlib.suppress(OverflowError, ValueError):
+                value = math.fsum(terms)  # raises on inf - inf in the terms
+        # Degenerate spacing, or a form that overflows on subnormal SNRs.
+        if not math.isfinite(value):
             value = _mrc_birth_cdf(snrs, a1)
     return min(max(_require_finite("closed-form outage", value), 0.0), 1.0)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -147,6 +148,24 @@ class TestSampler:
     def test_count_must_be_an_integer(self, bad):
         with pytest.raises(DomainError):
             list(iter_snr_chunks(_topology([1.0]), bad, seed=0))
+
+    # N = 130 draws in blocks of 1008 rows, which do not divide a chunk.
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 130])
+    @pytest.mark.parametrize("count", [1000, CHUNK_SIZE, 3 * CHUNK_SIZE + 17])
+    def test_reduce_equals_reducing_the_plain_chunks(self, n, count):
+        def row_sums(block):
+            return np.log1p(block).sum(axis=1)
+
+        topo = _topology([0.5 + k for k in range(n)])
+        plain = iter_snr_chunks(topo, count, seed=9)
+        reduced = iter_snr_chunks(topo, count, seed=9, reduce=row_sums)
+        rows = 0
+        for chunk, column in itertools.zip_longest(plain, reduced):
+            assert column.shape == (len(chunk), 1)
+            assert np.array_equal(column[:, 0].view(np.int64),
+                                  row_sums(chunk).view(np.int64))
+            rows += len(chunk)
+        assert rows == count
 
     def test_chunks_are_the_transform_of_raw_philox_draws(self):
         # The determinism contract: chunk i is -means * log1p(-u) on the

@@ -189,7 +189,7 @@ def _estimate_in_forked_child(args):
 
 
 class TestInstantaneousCapacity:
-    @pytest.mark.parametrize("n", range(1, 17))
+    @pytest.mark.parametrize("n", [*range(1, 17), 127, 128, 129, 200])
     def test_capacity_rows_bitwise_equal_row_formulas(self, n):
         rng = np.random.default_rng(n)
         block = rng.exponential(size=(3000, n)) * 10.0 ** rng.uniform(
@@ -695,6 +695,13 @@ class TestExactClosed:
         assert outage._spacing_kind(scaled) == "degenerate"
         assert outage_exact_closed("mrc", scaled, r_c).value == pytest.approx(
             _mrc_mpmath(scaled, coding_constant(1, r_c)), rel=1e-10)
+
+    # Subnormal means: the distinct form's terms are inf - inf and the
+    # equal form's e^-a * sum a^k/k! is 0 * inf; the birth chain gives 1.
+    @pytest.mark.parametrize("snrs,r_c", [([5e-324, 1e-323], 0.001),
+                                          ([5e-324, 5e-324], 1.0)])
+    def test_mrc_subnormal_means_saturate(self, snrs, r_c):
+        assert outage_exact_closed("mrc", snrs, r_c).value == 1.0
 
     @pytest.mark.parametrize("combiner", ["sc", "mrc", "sco"])
     @pytest.mark.parametrize("snrs,r_c", [

@@ -21,6 +21,7 @@ LIBRARY_KEYWORDS = [
     "field_trial.synthesize_trace(snr_model_params=)",
     "gains_dmt.gain_slope_wrt_outage(rounded=)",
     "gains_dmt.gain_slope_wrt_rate(rounded=)",
+    "link_model.iter_snr_chunks(reduce=)",
     "outage.outage_monte_carlo(sample_count=)",
     "outage.outage_monte_carlo(seed=)",
     "selftest.run_selftest(mc_samples=)",
