@@ -135,9 +135,9 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _snr_chunk(means: np.ndarray, seed: int, chunk_index: int,
-               out: np.ndarray, reduce=None) -> np.ndarray:
+               out: np.ndarray, reduce) -> np.ndarray:
     """Fill ``out`` with chunk ``chunk_index`` of the sample block, or with
-    ``reduce`` of it, and return it.
+    ``reduce`` of it unless that is None, and return it.
 
     The chunk is -means * log1p(-u) on the Philox draws u keyed by
     (seed, chunk_index), bit for bit. It is drawn and transformed in blocks

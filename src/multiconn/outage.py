@@ -11,7 +11,6 @@ are exposed with explicit method tags.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -385,9 +384,11 @@ def _closed_form(combiner: Combiner, snrs: list[float], a1: float) -> float:
                 prod = math.prod(1.0 / (gi - gj)
                                  for j, gj in enumerate(snrs) if j != i)
                 terms.append(gi ** (n - 1) * -math.expm1(-a1 / gi) * prod)
-            with contextlib.suppress(OverflowError, ValueError):
-                value = math.fsum(terms)  # raises on inf - inf in the terms
-        # Degenerate spacing, or a form that overflows on subnormal SNRs.
+            try:
+                value = math.fsum(terms)
+            except (OverflowError, ValueError):  # inf - inf in the terms
+                pass
+        # Degenerate spacing, or a form that is not finite (subnormal SNRs).
         if not math.isfinite(value):
             value = _mrc_birth_cdf(snrs, a1)
     return min(max(_require_finite("closed-form outage", value), 0.0), 1.0)
