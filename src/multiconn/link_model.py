@@ -134,19 +134,33 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _to_snrs(block: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Turn the uniform draws u in ``block`` into the Rayleigh-fading SNRs
+    -means * log1p(-u), in place, and return ``block``.
+
+    random() is uniform on [0, 1), so 1-u lies in (0, 1], the log stays
+    finite and samples stay nonnegative. A sample beyond the float range is
+    +inf, silently: it is above every rate threshold, so it counts as no
+    outage event, as its true value would.
+    """
+    np.negative(block, out=block)
+    np.log1p(block, out=block)
+    with np.errstate(over="ignore"):
+        return np.multiply(block, -means, out=block)
+
+
 def _snr_chunk(means: np.ndarray, seed: int, chunk_index: int,
                out: np.ndarray, reduce) -> np.ndarray:
     """Fill ``out`` with chunk ``chunk_index`` of the sample block, or with
-    ``reduce`` of it unless that is None, and return it.
+    ``reduce`` of its uniform draws unless that is None, and return it.
 
-    The chunk is -means * log1p(-u) on the Philox draws u keyed by
-    (seed, chunk_index), bit for bit. It is drawn and transformed in blocks
-    of about _BLOCK_BYTES, in ``out`` itself when ``out`` is a C-order
-    (rows, N) float64 array. With ``reduce``, ``out`` is a (rows, 1) column
-    and each block, drawn into a scratch array, is reduced while it is
-    still in cache: ``reduce(block)`` gives one value per row. A sample
-    beyond the float range is +inf, silently: it is above every rate
-    threshold, so it counts as no outage event, as its true value would.
+    The draws u are Philox keyed by (seed, chunk_index) and the chunk is
+    ``_to_snrs`` of them, bit for bit. They are drawn in blocks of about
+    _BLOCK_BYTES, in ``out`` itself when ``out`` is a C-order (rows, N)
+    float64 array, and transformed there. With ``reduce``, ``out`` is a
+    (rows, 1) column and each block of u, drawn into a scratch array, is
+    reduced while it is still in cache: ``reduce(block)`` gives one value
+    per row, and the transform is left to it.
     """
     generator = _chunk_generator(seed, chunk_index)
     step = max(1, _BLOCK_BYTES // (8 * means.size))
@@ -156,15 +170,12 @@ def _snr_chunk(means: np.ndarray, seed: int, chunk_index: int,
         block = out[start:start + step]
         if reduce is not None:
             block = scratch[:len(block)]
-        # random() is uniform on [0, 1); 1-u lies in (0, 1] so the log
-        # stays finite and samples stay nonnegative. Successive calls
-        # continue the stream, so the blocks join into the whole-chunk draw.
+        # Successive calls continue the stream, so the blocks join into
+        # the whole-chunk draw.
         generator.random(out=block)
-        np.negative(block, out=block)
-        np.log1p(block, out=block)
-        with np.errstate(over="ignore"):
-            np.multiply(block, -means, out=block)
-        if reduce is not None:
+        if reduce is None:
+            _to_snrs(block, means)
+        else:
             out[start:start + step, 0] = reduce(block)
     return out
 
@@ -177,10 +188,11 @@ def iter_snr_chunks(topology: Topology, count: int, seed: int,
     order or concurrently without changing the assembled block. They are
     drawn on a thread pool, one chunk per worker ahead of the consumer, and
     yielded in order. With ``reduce``, a function that maps a (rows, N)
-    block of a chunk, which it may overwrite, to one value per row, the
-    worker that draws a chunk also reduces it, block by block while each
-    block is in cache, and the chunk is yielded as a (rows, 1) column of
-    those values.
+    block of the chunk's uniform draws u, which it may overwrite, to one
+    value per row, the worker that draws a chunk reduces it instead of
+    transforming it, block by block while each block is in cache, and the
+    chunk is yielded as a (rows, 1) column of those values; the SNRs of a
+    block are -means * log1p(-u).
     """
     _require_count("count", count, 1)
     means = average_snrs(topology)

@@ -11,7 +11,6 @@ are exposed with explicit method tags.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -23,7 +22,7 @@ from .exceptions import (DomainError, QuadratureError,
                          UnsupportedLinkCountError, _require_count,
                          _require_finite, _require_nonnegative,
                          _require_positive, _require_snrs)
-from .link_model import Topology, iter_snr_chunks
+from .link_model import Topology, _to_snrs, average_snrs, iter_snr_chunks
 from .special_functions import LN2, _each, _exp_sum, coding_constant
 
 #: Largest link count served by nested quadrature.
@@ -89,32 +88,18 @@ def instantaneous_capacity(combiner, gammas: Sequence[float]) -> float:
 
 def _capacity_rows(combiner: Combiner, block: np.ndarray) -> np.ndarray:
     """Capacity of each row of an (rows, N) SNR block, which it may
-    overwrite. The bits equal the row formulas of
-    ``instantaneous_capacity`` taken with numpy's ``axis=1`` reductions.
-
-    SC folds the columns with np.maximum, and MRC and JD below 8 columns
-    with np.add: the same values as ``max(axis=1)`` and ``sum(axis=1)``,
-    without reducing along each short row.
-    """
+    overwrite: the row formulas of ``instantaneous_capacity``."""
     if combiner is Combiner.JD:
-        return _row_sums(np.log2(np.add(block, 1.0, out=block), out=block))
+        return np.log2(np.add(block, 1.0, out=block), out=block).sum(axis=1)
     if combiner is Combiner.MRC:
         # A sum beyond the float range is +inf, never an outage event.
         with np.errstate(over="ignore"):
-            rows = _row_sums(block)
+            rows = block.sum(axis=1)
     elif combiner is Combiner.SC:
-        rows = _fold_columns(np.maximum, block)
+        rows = block.max(axis=1)
     else:
         rows = block[:, 0].copy()
     return np.log2(np.add(rows, 1.0, out=rows), out=rows)
-
-
-def _row_sums(block: np.ndarray) -> np.ndarray:
-    # numpy's pairwise sum adds fewer than 8 values in order, so there the
-    # column fold has the bits of sum(axis=1).
-    if block.shape[1] < 8:
-        return _fold_columns(np.add, block)
-    return block.sum(axis=1)
 
 
 def _fold_columns(ufunc, block: np.ndarray) -> np.ndarray:
@@ -122,6 +107,83 @@ def _fold_columns(ufunc, block: np.ndarray) -> np.ndarray:
     for j in range(1, block.shape[1]):
         ufunc(rows, block[:, j], out=rows)
     return rows
+
+
+def _least_reaching(capacity, r_c: float, guess, top: float) -> np.ndarray:
+    """The least float x in [0, top] with capacity(x) >= r_c, for each
+    element of ``guess``. ``capacity`` is elementwise, nondecreasing and
+    at least r_c at ``top``.
+
+    Floats order as their int64 views do. The seven floats around the guess
+    are tried at once; where the least one is not bracketed among them,
+    all elements are bisected on the views over [0, top].
+    """
+    def reached(keys):
+        return capacity(keys.view(np.float64).copy()) >= r_c
+
+    end = np.float64(top).view(np.int64)
+    # + 0.0 turns -0.0, whose int64 view is negative, into 0.0.
+    near = (np.clip(np.array(guess, ndmin=1), 0.0, top) + 0.0).view(np.int64)
+    keys = np.clip(near + np.arange(-3, 4)[:, None], 0, end)
+    with np.errstate(divide="ignore", over="ignore"):
+        up = reached(keys)
+        if np.all((~up[0] | (keys[0] == 0)) & up[-1]):
+            return keys[up.argmax(axis=0), np.arange(near.size)].view(
+                np.float64)
+        lo, hi = np.zeros_like(near), np.full_like(near, end)
+        while (lo < hi).any():
+            mid = lo + (hi - lo) // 2
+            up = reached(mid)
+            lo, hi = np.where(up, lo, mid + 1), np.where(up, mid, hi)
+    return hi.view(np.float64)
+
+
+def _event_test(combiner: Combiner, means: np.ndarray, r_c: float):
+    """(reduce, limit): a row of uniform draws u, whose SNRs are
+    -means * log1p(-u), is an outage event iff reduce(u) < limit.
+
+    ``reduce`` maps a (rows, N) block of u, which it may overwrite, to one
+    value per row: SC the largest u_i - t_i, SCo u_1 against t_1, MRC the
+    SNR sum and JD the product of the 1 + SNR_i. Each threshold is the
+    least float at which the capacity reaches r_c through the sampler's own
+    rounding, so SC and SCo count exactly the rows whose capacity is below
+    r_c; MRC and JD differ from that only where their sum or product
+    rounds across the threshold. Where 2^r_c overflows, no product reaches
+    it, and JD compares the capacity of each row with r_c instead.
+    """
+    with np.errstate(over="ignore"):
+        a1 = np.expm1(r_c * LN2)
+    if combiner is Combiner.MRC:
+        limit = _least_reaching(lambda s: np.log2(s + 1.0), r_c, a1, math.inf)
+        weights = -means
+
+        def sums(u):
+            np.log1p(np.negative(u, out=u), out=u)
+            with np.errstate(over="ignore"):
+                return u @ weights
+        return sums, limit
+    if combiner is Combiner.JD:
+        limit = _least_reaching(np.log2, r_c, a1 + 1.0, math.inf)
+        if limit[0] == math.inf:
+            return (lambda u: _capacity_rows(combiner, _to_snrs(u, means)),
+                    r_c)
+
+        def products(u):
+            rows = np.add(_to_snrs(u, means), 1.0, out=u)
+            with np.errstate(over="ignore"):
+                return _fold_columns(np.multiply, rows)
+        return products, limit
+    if combiner is Combiner.SCO:
+        means = means[:1]
+    # The least u at which link i alone reaches r_c.
+    with np.errstate(over="ignore"):
+        guess = -np.expm1(-a1 / means)
+    t = _least_reaching(lambda u: np.log2(_to_snrs(u, means) + 1.0), r_c,
+                        guess, 1.0)
+    if combiner is Combiner.SCO:
+        return (lambda u: u[:, 0]), t
+    return (lambda u: _fold_columns(np.maximum, np.subtract(u, t, out=u)),
+            0.0)
 
 
 def outage_monte_carlo(combiner, topology: Topology, r_c: float,
@@ -132,19 +194,21 @@ def outage_monte_carlo(combiner, topology: Topology, r_c: float,
     Streams fixed-size chunks from the deterministic sampler, so the result
     depends only on (topology, r_c, sample_count, seed), never on the
     number of threads that draw the chunks. The thread that draws a chunk
-    also turns it into one capacity per row; the calling thread counts the
-    rows below r_c, chunk by chunk in order. The confidence half-width is
-    the 95% normal approximation; estimates backed by fewer than 100 outage
-    events are flagged unreliable.
+    also reduces its uniform draws to one value per row, one threshold
+    test per combiner (see ``_event_test``), without taking a capacity per
+    row; the calling thread counts the rows in outage, chunk by chunk in
+    order. The confidence half-width is the 95% normal approximation;
+    estimates backed by fewer than 100 outage events are flagged
+    unreliable.
     """
     combiner = Combiner.parse(combiner)
     _require_count("sample_count", sample_count, _MIN_MC_SAMPLES)
     _require_nonnegative("r_c", r_c)
+    reduce, limit = _event_test(combiner, average_snrs(topology), r_c)
     events = 0
-    for column in iter_snr_chunks(
-            topology, sample_count, seed,
-            reduce=functools.partial(_capacity_rows, combiner)):
-        events += int(np.count_nonzero(column < r_c))
+    for column in iter_snr_chunks(topology, sample_count, seed,
+                                  reduce=reduce):
+        events += int(np.count_nonzero(column < limit))
     p = events / sample_count
     ci = _CI_Z * math.sqrt(p * (1.0 - p) / sample_count)
     return OutageEstimate(value=p, method="monte-carlo", ci_half_width=ci,

@@ -153,12 +153,17 @@ class TestSampler:
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 130])
     @pytest.mark.parametrize("count", [1000, CHUNK_SIZE, 3 * CHUNK_SIZE + 17])
     def test_reduce_equals_reducing_the_plain_chunks(self, n, count):
+        # reduce is handed each block of uniform draws u, whose plain chunk
+        # is -means * log1p(-u).
         def row_sums(block):
             return np.log1p(block).sum(axis=1)
 
         topo = _topology([0.5 + k for k in range(n)])
+        means = average_snrs(topo)
         plain = iter_snr_chunks(topo, count, seed=9)
-        reduced = iter_snr_chunks(topo, count, seed=9, reduce=row_sums)
+        reduced = iter_snr_chunks(
+            topo, count, seed=9,
+            reduce=lambda u: row_sums(-means * np.log1p(-u)))
         rows = 0
         for chunk, column in itertools.zip_longest(plain, reduced):
             assert column.shape == (len(chunk), 1)

@@ -309,6 +309,32 @@ class TestMonteCarlo:
             assert _events(est) == _serial_events(combiner, topo, 1.5, count,
                                                   seed=40 + n)
 
+    # The edges of the threshold tests: R_c = 0; R_c so small that A_1/G
+    # underflows or 2^R_c rounds to 1; R_c where 2^R_c nears or leaves the
+    # float range (at [1e160, 1e160] JD's product overflows where its
+    # capacity is below 1100); means from subnormal to 1e308; N = 130.
+    @pytest.mark.parametrize("r_c", [0.0, 1e-320, 1e-300, 1e-15, 1.5,
+                                     1023.9, 1024.0, 1100.0])
+    @pytest.mark.parametrize("means", [
+        pytest.param([1e308, 1e308, 3e307], id="huge"),
+        pytest.param([1e160, 1e160], id="1e160"),
+        pytest.param([1e308, 1.0, 5e-324], id="huge-subnormal"),
+        pytest.param([5e-324, 1e-310, 2e-308], id="subnormal"),
+        pytest.param([1e-12, 3e-14], id="tiny"),
+        pytest.param(list(10.0 ** np.linspace(-300, 300, 130)),
+                     id="n130-spread"),
+        pytest.param([2.0 * 1.1 ** i for i in range(130)], id="n130")])
+    def test_edge_counts_equal_serial_reference(self, means, r_c):
+        topo = _topology(means)
+        for combiner in Combiner:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                est = outage_monte_carlo(combiner, topo, r_c,
+                                         sample_count=20_000, seed=7)
+            with np.errstate(over="ignore"):
+                expected = _serial_events(combiner, topo, r_c, 20_000, 7)
+            assert _events(est) == expected, combiner
+
     def test_one_worker_equals_default(self, monkeypatch):
         topo = _spread_topology(3)
         count = 5 * CHUNK_SIZE + 3
