@@ -157,10 +157,18 @@ def _event_test(combiner: Combiner, means: np.ndarray, r_c: float):
         limit = _least_reaching(lambda s: np.log2(s + 1.0), r_c, a1, math.inf)
         weights = -means
 
+        # An in-order multiply-add fold over the columns, not the BLAS
+        # product logs @ weights: OpenBLAS runs that on a thread of its own
+        # that contends with the sampler's pool, which made call times
+        # vary, and its bits depend on the CPU's BLAS kernel.
         def sums(u):
-            np.log1p(np.negative(u, out=u), out=u)
+            logs = np.log1p(np.negative(u, out=u), out=u)
             with np.errstate(over="ignore"):
-                return u @ weights
+                rows = np.multiply(logs[:, 0], weights[0])
+                for j in range(1, logs.shape[1]):
+                    np.add(rows, np.multiply(logs[:, j], weights[j],
+                                             out=logs[:, j]), out=rows)
+            return rows
         return sums, limit
     if combiner is Combiner.JD:
         limit = _least_reaching(np.log2, r_c, a1 + 1.0, math.inf)

@@ -335,6 +335,25 @@ class TestMonteCarlo:
                 expected = _serial_events(combiner, topo, r_c, 20_000, 7)
             assert _events(est) == expected, combiner
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 130])
+    def test_mrc_sums_are_in_order_snr_sums(self, n):
+        # The MRC test adds the SNRs column by column, so its sums do not
+        # depend on a BLAS kernel; below 8 columns they are also the bits
+        # of sum(axis=1), the row formula.
+        rng = np.random.default_rng(n)
+        means = 10.0 ** rng.uniform(-3.0, 4.0, size=n)
+        u = rng.random((4099, n))
+        sums, _ = outage._event_test(Combiner.MRC, means, 1.5)
+        snrs = -means * np.log1p(-u)
+        expected = snrs[:, 0].copy()
+        for j in range(1, n):
+            expected += snrs[:, j]
+        got = sums(u.copy())
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        if n < 8:
+            assert np.array_equal(got.view(np.int64),
+                                  snrs.sum(axis=1).view(np.int64))
+
     def test_one_worker_equals_default(self, monkeypatch):
         topo = _spread_topology(3)
         count = 5 * CHUNK_SIZE + 3
