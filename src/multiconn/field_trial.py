@@ -24,7 +24,7 @@ from .exceptions import (TraceError, _require_count, _require_finite,
                          _require_probability)
 from .link_model import db_to_linear
 from .outage import _asymptote, _closed_form
-from .special_functions import coding_constant
+from .special_functions import _each, coding_constant
 from .throughput import _rate_inverse, throughput_asymptotic
 
 TRACE_HEADER = ("measurement_id", "bs_id", "avg_snr_db")
@@ -32,9 +32,11 @@ CDF_HEADER = ("value", "probability")
 
 
 class SnrTrace:
-    """Average SNRs in dB per (measurement, base station), as three columns
-    in file order. The constructor ranks every measurement once: descending
-    SNR, then ascending ``bs_id`` by code point (``-0.0`` ties ``0.0``).
+    """Average SNRs in dB per (measurement, base station), as three
+    read-only columns in file order (copies of the sequences or arrays
+    given). The constructor ranks every measurement once: descending SNR,
+    then ascending ``bs_id`` by code point (``-0.0`` ties ``0.0``), by one
+    sort of an int64 key per row built from integer ranks.
     """
 
     def __init__(self, measurement_id, bs_id, avg_snr_db):
@@ -63,19 +65,22 @@ class SnrTrace:
         codes = np.fromiter(map(code_of.__getitem__, bs_list), np.intp,
                             len(bs_list))
         bs = names[codes]
-        pairs = np.lexsort((codes, mid))
-        dup = (np.diff(mid[pairs]) == 0) & (np.diff(codes[pairs]) == 0)
+        mrank = np.unique(mid, return_inverse=True)[1]
+        levels, lrank = np.unique(snr, return_inverse=True)
+        pair = _pair_key(mrank, codes, names.size)
+        pairs = np.sort(pair)
+        dup = pairs[1:] == pairs[:-1]
         if dup.any():
-            i = pairs[dup.argmax()]
+            i = (pair == pairs[dup.argmax()]).argmax()
             raise TraceError("duplicate (measurement, bs) pair "
                              f"{(int(mid[i]), str(bs[i]))}")
         mid.flags.writeable = bs.flags.writeable = snr.flags.writeable = False
         self.measurement_id, self.bs_id, self.avg_snr_db = mid, bs, snr
         # By measurement, then strongest first, then bs_id.
-        order = np.lexsort((codes, -snr, mid))
-        ranked_mid = mid[order]
-        starts = np.flatnonzero(np.r_[True, ranked_mid[1:] != ranked_mid[:-1]])
-        self._bounds = np.append(starts, mid.size)
+        order = np.argsort(_pair_key(
+            _pair_key(mrank, levels.size - 1 - lrank, levels.size),
+            codes, names.size))
+        self._bounds = np.r_[0, np.bincount(mrank).cumsum()]
         self._ranked_snr = snr[order]
 
     @property
@@ -90,6 +95,15 @@ class SnrTrace:
             np.array_equal(a, b) for a, b in zip(
                 (self.measurement_id, self.bs_id, self.avg_snr_db),
                 (other.measurement_id, other.bs_id, other.avg_snr_db)))
+
+
+def _pair_key(major: np.ndarray, minor: np.ndarray, size: int):
+    """An int64 per row ordering the rows by (major, minor), for integers
+    major >= 0 and 0 <= minor < size; a major that would wrap the key past
+    int64 is ranked first (a rank is below the row count)."""
+    if (int(major.max()) + 1) * size > 2**63:
+        major = np.unique(major, return_inverse=True)[1]
+    return major * size + minor
 
 
 @dataclass(frozen=True)
@@ -118,7 +132,8 @@ _DATA_LINE = re.compile(r"^[^\S\n]*[^\s#].*", re.MULTILINE)
 
 def _bulk_columns(text: str):
     """The columns of a trace text as numpy's C reader (np.loadtxt, numpy
-    >= 2.4; older numpy reads a non-int64 id as a float) parses them; None
+    >= 2.4; older numpy reads a non-int64 id as a float) parses them: ids
+    and SNRs as int64 and float64 arrays, bs_id as stripped str; None
     where only the csv loop may read it: a quote, a lone CR, a \\x1c-\\x1f
     (numpy strips it around a number), a line over csv.field_size_limit(),
     no data row, a header other than TRACE_HEADER, a row np.loadtxt rejects
@@ -142,8 +157,8 @@ def _bulk_columns(text: str):
     snrs = table["avg_snr_db"]
     if not np.isfinite(snrs).all():
         return None
-    return (table["measurement_id"].tolist(),
-            list(map(str.strip, table["bs_id"])), snrs.tolist())
+    return (table["measurement_id"], list(map(str.strip, table["bs_id"])),
+            snrs)
 
 
 def load_trace(path) -> SnrTrace:
@@ -252,7 +267,9 @@ def empirical_outage_cdf(trace: SnrTrace, n: int, r_c: float,
     """Per-measurement outage on the n strongest links, as a CDF.
 
     Each value is bitwise that of ``outage_asymptotic`` (JD) or
-    ``outage_exact_closed`` on the measurement's n strongest links."""
+    ``outage_exact_closed`` on the measurement's n strongest links. SC and
+    SCo rows are one column product (``math.expm1`` per link), MRC rows
+    run the closed forms row by row."""
     combiner = Combiner.parse(combiner)
     _require_positive("r_c", r_c)
     rows, skipped = _strongest_rows(trace, n, combiner)
@@ -261,9 +278,14 @@ def empirical_outage_cdf(trace: SnrTrace, n: int, r_c: float,
         with np.errstate(over="ignore"):
             values = np.minimum(_asymptote(combiner, rows.shape[1], r_c,
                                            rows.prod(axis=1)), 1.0)
-    else:
+    elif combiner is Combiner.MRC:
         a1 = coding_constant(1, r_c)
         values = [_closed_form(combiner, snrs, a1) for snrs in rows.tolist()]
+    else:  # SC and SCo: _closed_form's factors and product, per column
+        with np.errstate(over="ignore"):
+            factors = -_each(math.expm1, -coding_constant(1, r_c)
+                             / rows.ravel()).reshape(rows.shape)
+        values = math.prod(factors.T)
     return EmpiricalCdf.from_samples(values, skipped=skipped)
 
 

@@ -184,8 +184,10 @@ def iter_snr_chunks(topology: Topology, count: int, seed: int,
                     reduce=None) -> Iterator[np.ndarray]:
     """Yield sample chunks of at most CHUNK_SIZE rows each, (rows, N).
 
-    Chunk ``i`` depends only on (seed, i), so chunks may be generated in any
-    order or concurrently without changing the assembled block. They are
+    Chunk ``i``'s uniform draws depend only on (seed, i), so chunks may be
+    generated in any order or concurrently without changing the assembled
+    block. Its SNRs depend also on the CPU and numpy build: numpy's SIMD
+    ``log1p`` can differ from ``math.log1p`` in the last bit. They are
     drawn on a thread pool, one chunk per worker ahead of the consumer, and
     yielded in order. With ``reduce``, a function that maps a (rows, N)
     block of the chunk's uniform draws u, which it may overwrite, to one

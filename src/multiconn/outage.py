@@ -199,9 +199,12 @@ def outage_monte_carlo(combiner, topology: Topology, r_c: float,
                        seed: int = 0) -> OutageEstimate:
     """Estimate outage as the fraction of sampled SNR rows below rate r_c.
 
-    Streams fixed-size chunks from the deterministic sampler, so the result
-    depends only on (topology, r_c, sample_count, seed), never on the
-    number of threads that draw the chunks. The thread that draws a chunk
+    Streams fixed-size chunks from the deterministic sampler, so on one CPU
+    and numpy build the result depends only on (topology, r_c,
+    sample_count, seed), never on the number of threads that draw the
+    chunks. numpy's SIMD ``log1p`` can differ from ``math.log1p`` in the
+    last bit, so a row within rounding of a threshold may count
+    differently on another CPU. The thread that draws a chunk
     also reduces its uniform draws to one value per row, one threshold
     test per combiner (see ``_event_test``), without taking a capacity per
     row; the calling thread counts the rows in outage, chunk by chunk in

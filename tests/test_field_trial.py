@@ -56,6 +56,40 @@ class TestTraceContainer:
                                                                  10.0)]
         assert skipped == 0
 
+    def test_ranking_at_the_int64_edges(self):
+        # Ids at both int64 edges, their rows interleaved out of file order;
+        # -0.0 ties 0.0, so bs_id orders them and each keeps its sign.
+        lo, hi = -2**63, 2**63 - 1
+        trace = _trace([(hi, "b", 1.0), (lo, "b", -0.0), (0, "c", 3.0),
+                        (hi, "a", 4.0), (lo, "c", 0.0), (0, "a", -1.0),
+                        (lo, "a", 0.0)])
+        assert trace._bounds.tolist() == [0, 3, 5, 7]
+        assert list(map(float.hex, trace._ranked_snr.tolist())) == list(map(
+            float.hex, [0.0, -0.0, 0.0, 3.0, -1.0, 4.0, 1.0]))
+        rows, skipped = _strongest_rows(trace, 3, Combiner.SC)
+        assert rows.tolist() == [[1.0, 1.0, 1.0]]
+        assert skipped == 2
+
+    def test_duplicate_named_by_its_least_pair(self):
+        # Of several duplicate pairs, the least (id, bs_id) is named.
+        with pytest.raises(TraceError) as err:
+            SnrTrace([5, 5, 3, 9, 3, 9], ["BS00", "BS00", "BS01", "b",
+                                          "BS01", "b"], [1.0] * 6)
+        assert str(err.value) == (
+            "duplicate (measurement, bs) pair (3, 'BS01')")
+
+    @pytest.mark.parametrize("major, size", [
+        ([2**62 - 1, 0, 2**62 - 1, 5], 2),  # the largest key is 2**63 - 1
+        ([2**62, 0, 2**62, 5], 2),  # one more would wrap: ranked first
+        ([2**63 - 1, 2**40, 3, 2**63 - 1], 7)])
+    def test_pair_key_never_wraps(self, major, size):
+        major = np.array(major, dtype=np.int64)
+        minor = np.array([1, 0, 0, 0])
+        key = field_trial._pair_key(major, minor, size)
+        assert key.dtype == np.int64 and (key >= 0).all()
+        assert np.unique(key).size == key.size
+        assert np.argsort(key).tolist() == np.lexsort((minor, major)).tolist()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_snr_rejected(self, bad):
         with pytest.raises(TraceError, match="row 1: non-finite"):
@@ -426,7 +460,8 @@ def _trace_rows(draw):
     # Non-contiguous ids, ids/BS pairs left out at random (missing links),
     # quantised SNRs (ties), and rows in shuffled order.
     pairs = draw(st.lists(
-        st.tuples(st.sampled_from([-7, 0, 3, 4, 19, 2**40]),
+        st.tuples(st.sampled_from([-7, 0, 3, 4, 19, 2**40, -2**63,
+                                   2**63 - 1]),
                   st.sampled_from(["BS00", "BS01", "BS10", "BS2", "b", "Ä",
                                    "a,b", 'q"x'])),
         min_size=1, max_size=30, unique=True))
@@ -527,6 +562,12 @@ def _column_bits(ids, bs_ids, snrs):
             [float.hex(x) for x in snrs])
 
 
+def _array_column_bits(ids, bs_ids, snrs):
+    # The bulk reader's id and SNR columns are int64 and float64 arrays.
+    assert (ids.dtype, snrs.dtype) == (np.int64, np.float64)
+    return _column_bits(ids.tolist(), bs_ids, snrs.tolist())
+
+
 def _outcome(load):
     # A loaded trace as its column bits, or a TraceError as its message.
     try:
@@ -607,15 +648,15 @@ class TestBulkReader:
             assert _outcome(lambda: load_trace(path)) == str(exc)
             return
         if bulk is not None:
-            assert _column_bits(*bulk) == _column_bits(*ref)
+            assert _array_column_bits(*bulk) == _column_bits(*ref)
         assert (_outcome(lambda: load_trace(path))
                 == _outcome(lambda: SnrTrace(*ref)))
 
     def test_reads_the_benchmark_style_file_in_bulk(self, tmp_path):
         text = ("# synthetic\r\nmeasurement_id,bs_id,avg_snr_db\r\n"
                 "3,BS01,20.25\r\n\r\n  # note\r\n3,BS00,-4.0\r\n")
-        assert field_trial._bulk_columns(text) == (
-            [3, 3], ["BS01", "BS00"], [20.25, -4.0])
+        assert _array_column_bits(*field_trial._bulk_columns(text)) == (
+            _column_bits([3, 3], ["BS01", "BS00"], [20.25, -4.0]))
 
 
 def _rows_for_every_n(seed):
@@ -648,6 +689,35 @@ class TestCdfRowsForEveryN:
                 lambda: empirical_throughput_cdf(trace, n, 1e-2, 1e6,
                                                  combiner),
                 rows, n, partial(_ref_throughput, combiner))
+
+    @pytest.mark.parametrize("combiner", ["sc", "sco"])
+    @pytest.mark.parametrize("r_c", [1.5, 1000.0])
+    def test_column_products_equal_the_closed_form(self, combiner, r_c):
+        # N = 1-16, with the weakest SNR that db_to_linear accepts in every
+        # third measurement; at R_c = 1000, a1/G overflows below -72 dB.
+        rng = random.Random(7)
+        grid = [k * 0.25 for k in range(-400, 240)]
+        rows, seen = [], []
+        for mid in range(64):
+            snrs = rng.sample(grid, 1 + mid % 16)
+            if mid % 3 == 0:
+                snrs[0] = -3236.0
+            rows += [(mid, f"BS{b:02d}", x) for b, x in enumerate(snrs)]
+        trace = _trace(rows)
+        assert db_to_linear(-3236.0) == 5e-324
+        for n in range(1, 17):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cdf = empirical_outage_cdf(trace, n, r_c, combiner)
+            values, skipped = _ref_cdf(rows, n, lambda snrs: (
+                outage_exact_closed(combiner, snrs[:1] if combiner == "sco"
+                                    else snrs, r_c).value))
+            assert list(map(float.hex, cdf.values.tolist())) == list(map(
+                float.hex, values))
+            assert cdf.skipped_measurements == skipped
+            seen += values
+        # a1/G overflows to inf for 5e-324 at both rates: a factor of 1.
+        assert 1.0 in seen
 
     def test_write_cdf_bytes_match_csv_writer(self):
         cdf = empirical_throughput_cdf(_trace(_rows_for_every_n(4)), 2, 1e-2,
