@@ -31,8 +31,9 @@ from .exceptions import (BracketError, ConvergenceError, DomainError,
 from .gains_dmt import (GainQuery, _jd_gain, _mco_sco_gain, dmt,
                         dmt_empirical, snr_gain_jd_vs, snr_gain_mco_sco)
 from .link_model import db_to_linear, equal_power_topology
-from .special_functions import _coding_constants, _each, coding_constant
-from .throughput import _rate_inverse, throughput_asymptotic, throughput_exact
+from .special_functions import LN2, _coding_constants, _each, coding_constant
+from .throughput import (_jd_rate_rows, _rate_inverse, throughput_asymptotic,
+                         throughput_exact)
 
 _COMBINER_CHOICES = [c.value for c in Combiner]
 _OUTAGE_METHODS = ["exact", "asymptotic", "bound", "mc"]
@@ -338,7 +339,7 @@ def outage_cmd(preset, n_links, rate, combiners, methods, snr_db_range,
 
     def column(entry):
         combiner, n, method = entry
-        if method in ("mc", "exact"):
+        if method == "mc" or method == "exact" and combiner is not Combiner.JD:
             return None
         snrs, bad = columns()
         gammas = snrs[n]
@@ -349,6 +350,12 @@ def outage_cmd(preset, n_links, rate, combiners, methods, snr_db_range,
                 coding_constant(1, rate / n), gammas[0], n), bad, None
         # DomainError where the rate is not positive or a product is 0.
         _require_positive("r_c", rate)
+        if method == "exact":
+            math.expm1(rate * LN2)  # OverflowError where A_1 overflows
+            value, rows = np.full(len(grid), math.nan), np.flatnonzero(~bad)
+            value[rows] = outage_mod._jd_outage_rows(
+                np.column_stack(gammas))(rows.tolist(), rate)
+            return value, np.isnan(value), None
         value = outage_mod._asymptote(combiner, n, rate, math.prod(gammas))
         return np.minimum(value, 1.0), bad, value > 1.0
 
@@ -404,12 +411,17 @@ def throughput_cmd(preset, n_links, p_out, combiners, methods, snr_db_range,
 
     def column(entry):
         combiner, n, method = entry
-        if method == "exact":
+        if method == "exact" and combiner is not Combiner.JD:
             return None
         snrs, bad = columns()
-        rate = _rate_inverse(
-            combiner, n, "paper" if method == "paper-approx" else "refined")(
-            p_out * math.prod(snrs[n]))
+        if method == "exact":
+            rate = np.full(len(grid), math.nan)
+            rate[~bad] = _jd_rate_rows(np.column_stack(snrs[n])[~bad], p_out)
+        else:
+            rate = _rate_inverse(
+                combiner, n,
+                "paper" if method == "paper-approx" else "refined")(
+                p_out * math.prod(snrs[n]))
         value = bandwidth_hz * rate * (1.0 - p_out)
         return value, bad | ~((value >= 0) & (value < math.inf)), None
 

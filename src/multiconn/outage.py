@@ -29,12 +29,17 @@ from .special_functions import LN2, _each, _exp_sum, coding_constant
 MAX_QUADRATURE_LINKS = 4
 
 # Nested quadrature: 16 Gauss-Legendre nodes per panel. An estimate takes
-# (16 * panels) ** levels innermost evaluations, at most _MAX_NODES, which
-# bounds its time; it takes the outermost nodes in blocks of at most
-# _BLOCK_NODES evaluations (8 MiB per array), which bounds its memory.
+# (16 * panels) ** levels innermost evaluations per row, at most _MAX_NODES,
+# which bounds its time; it takes a row's outermost nodes in blocks of at
+# most _BLOCK_NODES evaluations (8 MiB per array), which bounds its memory
+# and fixes the order of its sums. Rows share the numpy calls of a block
+# while their blocks hold at most _ROW_NODES evaluations in all: 64 KiB per
+# array, where 2^11 or 2^12 ran N = 3 sweeps up to 1.4 or 1.1 times slower
+# and 2^14 ran exact_solve passes no faster.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MAX_NODES = 1 << 26
 _BLOCK_NODES = 1 << 20
+_ROW_NODES = 1 << 13
 # Each JD rate share's range ends where its SNR exceeds this many means,
 # where the density underflows (e^-745).
 _JD_TAIL_MEANS = 745.0
@@ -243,59 +248,118 @@ def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
 _RULES = {1 << k: _panel_rule(1 << k) for k in range(9)}
 
 
-def _nested_sum(levels, innermost, total: float, rules) -> float:
-    # One estimate: level k runs the (nodes, weights) of rules[k] on [0, 1]
-    # scaled to [0, min(remaining, cap_k)] at every node of the levels above.
-    remaining = np.array(total)
+def _nested_sum(levels, innermost, remaining, rows, rules):
+    # One estimate of each of ``rows``, whose outer rates are ``remaining``:
+    # level k runs the (nodes, weights) of rules[k] on [0, 1] scaled to
+    # [0, min(remaining, cap_k)] at every node of the levels above, as
+    # upper * weights * density(upper * nodes), in place in three arrays.
     factors = []
     for (density, cap), (nodes, weights) in zip(levels, rules):
-        upper = np.minimum(remaining, cap)[..., None]
-        x = upper * nodes
-        factors.append(upper * weights * density(x))
-        remaining = remaining[..., None] - x
-    estimate = innermost(remaining)
+        upper = np.minimum(remaining, cap if isinstance(cap, float)
+                           else cap[rows])[..., None]
+        x = np.multiply(upper, nodes)
+        scratch = np.empty_like(x)
+        factor = density(x, rows, np.empty_like(x), scratch)
+        factors.append(np.multiply(np.multiply(upper, weights, out=scratch),
+                                   factor, out=factor))
+        remaining = np.subtract(remaining[..., None], x, out=x)
+    estimate = innermost(remaining, rows)
     for factor in reversed(factors):
         estimate = np.einsum("...i,...i->...", factor, estimate)
-    return float(estimate)
+    return estimate
 
 
-def _nested_integral(levels, innermost, total: float,
-                     rel_tol: float) -> tuple[float, float]:
+def _nested_integral(levels, innermost, total, rel_tol: float, rows=None):
     """I_0(total), where I_k(r) is the integral over x in [0, min(r, cap_k)]
     of density_k(x) * I_{k+1}(r - x) for each (density_k, cap_k) of
     ``levels``, and the last I is ``innermost``.
 
+    ``total`` is a float, or an array of one total per row, of which
+    ``rows`` (increasing indices; all by default) are evaluated. A cap is a
+    float, or one per row shaped to broadcast against the remaining rates:
+    one axis over the rows, one more per level above. ``density(x, rows,
+    out, scratch)`` returns the density at the rate shares x of ``rows``
+    (x's first axis: a slice or an index array), in out or a new array,
+    and may overwrite scratch; ``innermost(rate, rows)`` may overwrite rate.
+
     Composite Gauss-Legendre on equal panels, each level evaluated over all
-    nodes of the level above at once. The panel count doubles until two
-    successive estimates agree to ``rel_tol``; returns the finer one and
-    their difference. QuadratureError once that would pass _MAX_NODES.
+    nodes of the level above at once. Each row's panel count doubles until
+    two successive estimates agree to ``rel_tol``; the rows at one panel
+    count share their numpy calls, up to _ROW_NODES innermost nodes per
+    call. Returns the finer estimate and the difference of the two: floats,
+    with QuadratureError once that would pass _MAX_NODES; or arrays, nan
+    where a row raises that error or is not evaluated.
     """
-    panels, value, err = 1, math.nan, math.nan
-    while (_GL_NODES.size * panels) ** len(levels) <= _MAX_NODES:
+    totals = np.array(total, dtype=float, ndmin=1)
+    values, errs = [math.nan] * totals.size, [math.nan] * totals.size
+    active = list(range(totals.size) if rows is None else rows)
+    panels, depth = 1, len(levels)
+    while active and (_GL_NODES.size * panels) ** depth <= _MAX_NODES:
         nodes, weights = _RULES.get(panels) or _panel_rule(panels)
-        inner = [(nodes, weights)] * max(len(levels) - 1, 0)
+        inner = [(nodes, weights)] * max(depth - 1, 0)
         block = max(1, _BLOCK_NODES // nodes.size ** len(inner))
-        estimate = sum(
-            _nested_sum(levels, innermost, total,
-                        [(nodes[i:i + block], weights[i:i + block])] + inner)
-            for i in range(0, nodes.size, block))
-        err, value = abs(estimate - value), estimate
-        if err <= rel_tol * abs(value):
-            return value, err
+        step = max(1, _ROW_NODES // (min(block, nodes.size)
+                                     * nodes.size ** len(inner)))
+        chunks, active = [active[s:s + step]
+                          for s in range(0, len(active), step)], []
+        for chunk in chunks:
+            # A slice where the rows are consecutive: cheaper to index.
+            rows = (slice(chunk[0], chunk[-1] + 1)
+                    if chunk[-1] - chunk[0] < len(chunk) else np.array(chunk))
+            estimate = sum(_nested_sum(
+                levels, innermost, totals[rows].copy(), rows,
+                [(nodes[i:i + block], weights[i:i + block])] + inner)
+                for i in range(0, nodes.size, block))
+            for row, value in zip(chunk, estimate.tolist()):
+                values[row], errs[row] = value, abs(value - values[row])
+                if not errs[row] <= rel_tol * abs(value):
+                    active.append(row)
         panels *= 2
-    raise QuadratureError(
-        f"requested rel_tol {rel_tol} not achieved within {panels // 2} "
-        f"panels per level (last change {err:.3g} on value {value:.3g})")
+    if isinstance(total, np.ndarray):
+        values = np.array(values)
+        values[active] = math.nan
+        return values, np.array(errs)
+    if active:
+        raise QuadratureError(
+            f"requested rel_tol {rel_tol} not achieved within {panels // 2} "
+            f"panels per level (last change {errs[0]:.3g} on value "
+            f"{values[0]:.3g})")
+    return values[0], errs[0]
 
 
-def _rate_share_density(mean: float):
-    # Density of x = log2(1 + gamma), gamma ~ Exp(mean); a subnormal raises.
-    scale = _require_positive("JD rate-share density scale ln2/G", LN2 / mean)
+def _rate_share_density(means):
+    # Density of x = log2(1 + gamma), gamma ~ Exp(mean), of each row's mean,
+    # shaped to broadcast against x; every ln2/mean must be finite.
+    scales = LN2 / means
 
-    def density(x: np.ndarray) -> np.ndarray:
-        y = x * LN2
-        return scale * np.exp(y - np.expm1(y) / mean)
+    def density(x, rows, out, scratch):
+        y = np.multiply(x, LN2, out=out)
+        np.divide(np.expm1(y, out=scratch), means[rows], out=scratch)
+        np.exp(np.subtract(y, scratch, out=out), out=out)
+        return np.multiply(out, scales[rows], out=out)
     return density
+
+
+def _jd_integrand(snrs: np.ndarray):
+    # (levels, innermost) of the JD outage of each row of ascending average
+    # SNRs. Each rate share x = log2(1 + gamma) runs up to log1p(745 G)/ln2,
+    # which keeps the range of a weak link that 1 + 745 G rounds to [0, 0].
+    caps = np.array([math.log1p(_JD_TAIL_MEANS * g) for g in
+                     snrs.ravel().tolist()]).reshape(snrs.shape) / LN2
+    n = snrs.shape[1] - 1
+
+    def link(values, k, ndim):  # link k's, for arrays of ndim dimensions
+        return values[:, k].reshape((-1,) + (1,) * (ndim - 1))
+    last, last_cap = link(snrs, n, n + 1), link(caps, n, n + 1)
+
+    def innermost(rate, rows):
+        np.minimum(rate, last_cap[rows], out=rate)
+        np.expm1(np.multiply(rate, LN2, out=rate), out=rate)
+        np.divide(rate, last[rows], out=rate)
+        return np.negative(np.expm1(np.negative(rate, out=rate), out=rate),
+                           out=rate)
+    return ([(_rate_share_density(link(snrs, k, k + 2)), link(caps, k, k + 1))
+             for k in range(n)], innermost)
 
 
 def outage_jd_quadrature(avg_snrs: Sequence[float],
@@ -308,7 +372,8 @@ def outage_jd_quadrature(avg_snrs: Sequence[float],
     value does not depend on the link order. Panels double until two
     successive estimates agree to 1e-8 relative. Supports N <= 4;
     DomainError where A_1(r_c) = 2^r_c - 1 overflows a float, or where an
-    average SNR is below ln 2 / DBL_MAX (about 3.9e-309).
+    average SNR is below ln 2 / DBL_MAX (about 3.9e-309). A sweep column
+    gives each of its points these bits through ``_jd_outage_rows``.
     """
     # Ascending: equal panels miss the steep CDF of a weak last link.
     snrs = sorted(_require_snrs(avg_snrs))
@@ -324,19 +389,37 @@ def outage_jd_quadrature(avg_snrs: Sequence[float],
         math.expm1(r_c * LN2)
     except OverflowError:
         raise DomainError(f"A_1({r_c}) overflows a float") from None
-
-    # Density and range of each rate share x = log2(1 + gamma); log1p keeps
-    # the range of a weak link, which 1 + 745 G would round to [0, 0].
-    levels = [(_rate_share_density(mean),
-               math.log1p(_JD_TAIL_MEANS * mean) / LN2) for mean in snrs]
-    last = snrs[-1]
-
-    def innermost(rate: np.ndarray) -> np.ndarray:
-        rate = np.minimum(rate, levels[-1][1])
-        return -np.expm1(-np.expm1(rate * LN2) / last)
-
-    value, _ = _nested_integral(levels[:-1], innermost, r_c, 1e-8)
+    for mean in snrs:
+        _require_positive("JD rate-share density scale ln2/G", LN2 / mean)
+    value, _ = _nested_integral(*_jd_integrand(np.array([snrs])), r_c, 1e-8)
     return OutageEstimate(value=min(max(value, 0.0), 1.0), method="quadrature")
+
+
+def _jd_outage_rows(snrs: np.ndarray):
+    """``outage(rows, r_c)``: for each i of ``rows`` (increasing indices
+    into an (n, N) array of average SNRs), ``outage_jd_quadrature(snrs[i],
+    r_c).value``, nan where it raises; r_c is a float or one rate per row
+    of ``rows``, each positive with a finite A_1(r_c). A call runs all its
+    rows through one ``_nested_integral``."""
+    snrs = np.sort(snrs, axis=1)
+    # A row raises where an SNR is not finite and positive, or so small
+    # that ln2/G overflows, and where it has more than 4 links.
+    with np.errstate(divide="ignore", over="ignore"):
+        ok = ((snrs[:, 0] > 0) & (LN2 / snrs[:, 0] < math.inf)
+              & (snrs[:, -1] < math.inf)
+              & (snrs.shape[1] <= MAX_QUADRATURE_LINKS))
+    levels, innermost = _jd_integrand(np.where(ok[:, None], snrs, 1.0))
+    ok = ok.tolist()
+
+    def outage(rows, r_c):
+        totals = np.zeros(len(snrs))
+        totals[rows] = r_c
+        values = _nested_integral(levels, innermost, totals, 1e-8,
+                                  [i for i in rows if ok[i]])[0][rows]
+        # outage_jd_quadrature's clamp; an estimate is never -0.0.
+        return np.minimum(np.maximum(values, 0.0, out=values), 1.0,
+                          out=values)
+    return outage
 
 
 def asymptotic_outage_value(combiner, avg_snrs: Sequence[float],

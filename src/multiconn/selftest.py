@@ -21,9 +21,9 @@ from .special_functions import LN2, coding_constant, coding_constant_inverse
 def _coding_constant_quadrature(n: int, r_c: float) -> float:
     # Unit-weight nested integral over the rate shares x_i = log2(1 + g_i),
     # where dg = ln2 2^x dx; the innermost level is 2^r - 1 in closed form.
-    levels = [(lambda x: LN2 * np.exp2(x), math.inf)] * (n - 1)
+    levels = [(lambda x, *_: LN2 * np.exp2(x), math.inf)] * (n - 1)
     value, _ = outage_mod._nested_integral(
-        levels, lambda r: np.expm1(r * LN2), r_c, 1e-9)
+        levels, lambda r, _: np.expm1(r * LN2), r_c, 1e-9)
     return value
 
 

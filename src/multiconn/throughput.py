@@ -7,12 +7,15 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
+import numpy as np
+
 from .combiners import Combiner
 from .exceptions import (BracketError, ConvergenceError, DomainError,
                          _float_result, _require_nonnegative, _require_positive,
                          _require_probability, _require_snrs)
 from .link_model import Topology, average_snrs
-from .outage import outage_exact_closed, outage_jd_quadrature
+from .outage import (_jd_outage_rows, outage_exact_closed,
+                     outage_jd_quadrature)
 from .special_functions import (_each, _inverse_rows,
                                 coding_constant_inverse)
 
@@ -82,10 +85,11 @@ def achievable_rate_exact(combiner, topology: Topology, p_out: float) -> float:
     outage is 0.0, or a seed that raises is replaced by a bisection. The
     root returned is the midpoint of a bracket no wider than 2e-6, so it
     lies within 1e-6 of the true root, or a rate where P_out is p_out.
+    The secant is ``_rate_root``, here sent one outage at a time; a JD
+    sweep column runs the roots of its points in lockstep, with these bits.
     """
     combiner = Combiner.parse(combiner)
     _require_probability("p_out", p_out)
-    lo, hi = DEFAULT_RATE_BRACKET
     snrs = average_snrs(topology)
 
     if combiner is Combiner.JD:
@@ -95,8 +99,22 @@ def achievable_rate_exact(combiner, topology: Topology, p_out: float) -> float:
         def exact(r_c: float) -> float:
             return outage_exact_closed(combiner, snrs, r_c).value
 
-    f_lo = exact(lo) - p_out
-    f_hi = exact(hi) - p_out
+    root = _rate_root(combiner, snrs, p_out)
+    r_c = next(root)
+    while True:
+        try:
+            r_c = root.send(exact(r_c))
+        except StopIteration as stop:
+            return stop.value
+
+
+def _rate_root(combiner: Combiner, snrs, p_out: float):
+    """The secant of ``achievable_rate_exact`` as a generator: it yields
+    each rate at which it needs the exact outage, is sent that outage, and
+    returns the root (or raises as ``achievable_rate_exact`` does)."""
+    lo, hi = DEFAULT_RATE_BRACKET
+    f_lo = (yield lo) - p_out
+    f_hi = (yield hi) - p_out
     if f_lo > 0 or f_hi < 0:
         raise BracketError(
             f"p_out={p_out} is not attainable within rate bracket "
@@ -116,7 +134,7 @@ def achievable_rate_exact(combiner, topology: Topology, p_out: float) -> float:
     for _ in range(_MAX_ROOT_ITERATIONS):
         if not lo < r_c < hi:
             r_c = 0.5 * (lo + hi)
-        value = exact(r_c)
+        value = yield r_c
         if value == p_out:
             return r_c
         if value < p_out:
@@ -143,6 +161,28 @@ def achievable_rate_exact(combiner, topology: Topology, p_out: float) -> float:
         r_c -= math.copysign(max(abs(step), _RATE_XTOL), value - p_out)
     raise ConvergenceError(
         f"rate root did not converge in {_MAX_ROOT_ITERATIONS} steps")
+
+
+def _jd_rate_rows(snrs: np.ndarray, p_out: float) -> np.ndarray:
+    """``achievable_rate_exact`` of JD for each row of an (rows, N) array of
+    average SNRs, nan where it raises. The roots run in lockstep: a step
+    takes the outage at every rate that they ask for in one call."""
+    outage, rates = _jd_outage_rows(snrs), np.full(len(snrs), math.nan)
+    roots = [_rate_root(Combiner.JD, row, p_out) for row in snrs]
+    sent = dict.fromkeys(range(len(roots)))  # None starts a root
+    while sent:
+        wanted = {}
+        for i, value in sent.items():
+            try:
+                wanted[i] = roots[i].send(value)
+            except StopIteration as stop:
+                rates[i] = stop.value
+            except (BracketError, ConvergenceError):
+                pass  # the per-point route raises it again
+        values = outage(list(wanted), list(wanted.values())).tolist()
+        # A row whose quadrature raised (nan) drops out.
+        sent = {i: v for i, v in zip(wanted, values) if not math.isnan(v)}
+    return rates
 
 
 def throughput_asymptotic(combiner, avg_snrs: Sequence[float], p_out: float,

@@ -17,7 +17,8 @@ from multiconn import cli, special_functions
 from multiconn import outage as outage_mod
 from multiconn import throughput as throughput_mod
 from multiconn.field_trial import load_trace, save_trace, synthesize_trace
-from multiconn.link_model import db_to_linear
+from multiconn.exceptions import QuadratureError
+from multiconn.link_model import db_to_linear, equal_power_topology
 from multiconn.selftest import run_selftest
 from multiconn.throughput import throughput_asymptotic
 
@@ -458,6 +459,78 @@ class TestColumnsMatchPerPoint:
         code, out, err = _capture(argv)
         assert code == 3 and "did not converge" in err
         assert (code, out, err) == _per_point(argv)
+
+
+class TestJdExactColumns:
+    # Exact JD outage and throughput are sweep columns: every cell has the
+    # bits of outage_jd_quadrature or achievable_rate_exact at its point,
+    # and a point that raises takes the per-point route.
+    @pytest.mark.parametrize("argv", [
+        ["--n-links", "2", "--snr-db-range", "-10:40:11", "--rate", "2.5"],
+        ["--n-links", "2", "--distances", "1,1000", "--snr-db-range",
+         "0:30:7", "--rate", "1"],
+        ["--n-links", "3", "--distances", "1,1.7,30", "--snr-db-range",
+         "-5:35:9", "--rate", "3.3"],
+        ["--n-links", "4", "--snr-db-range", "5:25:3", "--rate", "1.4"],
+        ["--n-links", "2", "--n-links", "3", "--combiner", "jd",
+         "--combiner", "sc", "--snr-db-range", "0:20:4", "--rate", "0.7"]])
+    def test_outage_cells_match_per_point(self, argv):
+        argv = ["outage", "--method", "exact"] + argv
+        code, out, err = _capture(argv)
+        assert code == 0 and err == ""
+        assert (code, out, err) == _per_point(argv)
+
+    def test_outage_with_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(outage_mod, "_BLOCK_NODES", 5)
+        argv = ["outage", "--method", "exact", "--n-links", "3",
+                "--snr-db-range", "0:30:4", "--rate", "2"]
+        assert _capture(argv)[0] == 0
+        assert _capture(argv) == _per_point(argv)
+
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_throughput_cells_match_per_point(self, n):
+        # The lowest points cannot reach 1e-3 within the rate bracket: they
+        # are undefined, flagged by the per-point route.
+        argv = ["throughput", "--method", "exact", "--n-links", n,
+                "--snr-db-range", "-100:20:6", "--outage", "1e-3"]
+        code, out, err = _capture(argv)
+        assert code == 0
+        _, rows = _rows(out)
+        undefined = [row[1:] == ["nan", f"jd_n{n}_exact:undefined"]
+                     for row in rows]
+        assert undefined[0] and not undefined[-1]
+        assert undefined == sorted(undefined, reverse=True)
+        assert (code, out, err) == _per_point(argv)
+
+    def test_quadrature_error_of_a_middle_point(self, monkeypatch):
+        # With 4 panels per level at most, the roots at 20 and 25 dB
+        # converge and the one at 30 dB raises: exit 3 with its message.
+        monkeypatch.setattr(outage_mod, "_MAX_NODES", 64)
+        argv = ["throughput", "--method", "exact", "--n-links", "2",
+                "--distances", "1,3", "--snr-db-range", "20:40:5",
+                "--outage", "1e-3"]
+        topology = equal_power_topology(db_to_linear(30.0), [1.0, 3.0], 2.0,
+                                        20e6)
+        with pytest.raises(QuadratureError) as raised:
+            throughput_mod.achievable_rate_exact("jd", topology, 1e-3)
+        code, out, err = _capture(argv)
+        assert (code, out) == (3, "")
+        assert err == f"numeric failure: {raised.value}\n"
+        assert (code, out, err) == _per_point(argv)
+
+    def test_columns_call_no_per_point_function(self, monkeypatch):
+        # A silent fallback to the per-point route would call these.
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-point call in a clean sweep")
+        monkeypatch.setattr(outage_mod, "outage_jd_quadrature", refuse)
+        monkeypatch.setattr(throughput_mod, "achievable_rate_exact", refuse)
+        for argv in (["outage", "--method", "exact", "--n-links", "2",
+                      "--n-links", "3", "--n-links", "4",
+                      "--snr-db-range", "0:30:3", "--rate", "2"],
+                     ["throughput", "--method", "exact", "--n-links", "2",
+                      "--n-links", "3", "--snr-db-range", "10:22:3"]):
+            code, out, err = _capture(argv)
+            assert code == 0 and err == "", err
 
 
 class TestThroughputCommand:

@@ -560,10 +560,14 @@ def _per_call_rule(panels):
     return nodes, weights
 
 
-def _per_call_density(mean):
-    # The JD rate-share density with x * LN2 evaluated twice: the reference
-    # for the density that evaluates it once.
-    return lambda x: LN2 / mean * np.exp(x * LN2 - np.expm1(x * LN2) / mean)
+def _per_call_density(means):
+    # The JD rate-share density out of place, with x * LN2 evaluated twice:
+    # the reference for the in-place density that evaluates it once.
+    def density(x, rows, out, scratch):
+        mean = means[rows]
+        out[...] = LN2 / mean * np.exp(x * LN2 - np.expm1(x * LN2) / mean)
+        return out
+    return density
 
 
 def _per_call(monkeypatch, func, *args):
@@ -617,12 +621,104 @@ class TestRuleTable:
             return rule
 
         monkeypatch.setattr(outage, "_panel_rule", spy)
-        value, _ = outage._nested_integral([(np.ones_like, math.inf)],
-                                           np.sqrt, 1.0, 1e-9)
+        value, _ = outage._nested_integral([(lambda x, *_: np.ones_like(x),
+                                             math.inf)],
+                                           lambda r, _: np.sqrt(r), 1.0, 1e-9)
         assert value == pytest.approx(2.0 / 3.0, rel=1e-9)
         assert [panels for panels, *_ in built] == [512, 1024, 2048]
         assert all(ref() is None for _, *refs in built for ref in refs)
         assert sorted(outage._RULES) == [1 << k for k in range(9)]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _sweep_rows(n, count, seed):
+    # Seeded rows of JD sweeps: SNRs of -10..40 dB whose links lie up to
+    # 20 dB apart, and rates log-uniform in 0.05..12.
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-10.0, 40.0, (count, 1))
+    snrs = 10.0 ** ((base - rng.uniform(0.0, 20.0, (count, n))) / 10.0)
+    return snrs, 10.0 ** rng.uniform(math.log10(0.05), math.log10(12.0),
+                                     count)
+
+
+def _per_row(snrs, rates):
+    return [outage_jd_quadrature(list(row), r).value
+            for row, r in zip(snrs, rates)]
+
+
+def _panels_spy(monkeypatch):
+    # (rows, innermost nodes per level) of every estimate's numpy calls.
+    calls, nested_sum = [], outage._nested_sum
+
+    def spy(levels, innermost, remaining, rows, rules):
+        calls.append((len(remaining), rules[-1][0].size))
+        return nested_sum(levels, innermost, remaining, rows, rules)
+    monkeypatch.setattr(outage, "_nested_sum", spy)
+    return calls
+
+
+class TestJdRows:
+    """A block of rows through one ``_nested_integral`` gives each row the
+    bits of its own ``outage_jd_quadrature`` call."""
+
+    @pytest.mark.parametrize("n,count", [(2, 40), (3, 24), (4, 6)])
+    def test_rows_have_the_bits_of_per_point_calls(self, n, count):
+        snrs, rates = _sweep_rows(n, count, seed=700 + n)
+        rows = outage._jd_outage_rows(snrs)
+        assert _bits(rows(list(range(count)), rates)) == _bits(
+            _per_row(snrs, rates))
+        # A subset of the rows, at one rate.
+        subset = list(range(1, count, 3))
+        assert _bits(rows(subset, 1.5)) == _bits(
+            _per_row(snrs[subset], [1.5] * len(subset)))
+
+    def test_rows_converge_at_their_own_panel_counts(self, monkeypatch):
+        # The weak links need 64 panels per level, the others 2 to 8; the
+        # converged rows leave the block, the weak ones go on alone.
+        snrs = np.array([[2e-5, 1.0, 1.0], [3.0, 5.0, 9.0], [1.0, 1.0, 2e-5],
+                         [1e-2, 1.0, 3.0], [40.0, 90.0, 7.0]])
+        rates = np.array([1.0, 2.0, 1.0, 2.0, 4.0])
+        expected = _per_row(snrs, rates)
+        calls = _panels_spy(monkeypatch)
+        assert _bits(outage._jd_outage_rows(snrs)(range(5), rates)) == (
+            _bits(expected))
+        assert calls[0] == (5, 16)
+        assert max(nodes for _, nodes in calls) >= 64 * 16
+        assert all(rows <= 2 for rows, nodes in calls if nodes >= 64)
+
+    @pytest.mark.parametrize("block", [1, 7, 300])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_small_blocks_of_outer_nodes(self, monkeypatch, block, n):
+        monkeypatch.setattr(outage, "_BLOCK_NODES", block)
+        snrs, rates = _sweep_rows(n, 8 if n == 3 else 3, seed=710 + n)
+        assert _bits(outage._jd_outage_rows(snrs)(range(len(rates)),
+                                                  rates)) == _bits(
+            _per_row(snrs, rates))
+
+    @pytest.mark.parametrize("budget", [1, 1 << 20])
+    def test_row_budget_moves_no_bit(self, monkeypatch, budget):
+        snrs, rates = _sweep_rows(3, 12, seed=720)
+        expected = _per_row(snrs, rates)
+        monkeypatch.setattr(outage, "_ROW_NODES", budget)
+        assert _bits(outage._jd_outage_rows(snrs)(range(12), rates)) == (
+            _bits(expected))
+
+    def test_rows_that_raise_read_nan(self, monkeypatch):
+        # A subnormal SNR (DomainError), a non-finite one, and a row that
+        # needs more panels than _MAX_NODES allows (QuadratureError).
+        snrs = np.array([[3.0, 9.0], [1e-310, 9.0], [math.inf, 9.0],
+                         [5e-6, 5.0], [5.0, 7.0]])
+        monkeypatch.setattr(outage, "_MAX_NODES", 16 * 16)
+        values = outage._jd_outage_rows(snrs)(range(5), 1.0)
+        assert np.isnan(values).tolist() == [False, True, True, True, False]
+        assert values[[0, 4]].tolist() == _per_row(snrs[[0, 4]], [1.0, 1.0])
+        with pytest.raises(QuadratureError):
+            outage_jd_quadrature([5e-6, 5.0], 1.0)
+        wide = outage._jd_outage_rows(np.ones((2, 5)))(range(2), 1.0)
+        assert np.isnan(wide).all()
 
 
 class TestAsymptote:
