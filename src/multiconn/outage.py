@@ -40,6 +40,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MAX_NODES = 1 << 26
 _BLOCK_NODES = 1 << 20
 _ROW_NODES = 1 << 13
+# Panels double until two successive estimates agree to this, relative.
+_REL_TOL = 1e-8
 # Each JD rate share's range ends where its SNR exceeds this many means,
 # where the density underflows (e^-745).
 _JD_TAIL_MEANS = 745.0
@@ -248,55 +250,64 @@ def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
 _RULES = {1 << k: _panel_rule(1 << k) for k in range(9)}
 
 
-def _nested_sum(levels, innermost, remaining, rows, rules):
-    # One estimate of each of ``rows``, whose outer rates are ``remaining``:
-    # level k runs the (nodes, weights) of rules[k] on [0, 1] scaled to
-    # [0, min(remaining, cap_k)] at every node of the levels above, as
-    # upper * weights * density(upper * nodes), in place in three arrays.
+def _nested_sum(snrs, caps, remaining, rows, rules):
+    # One estimate of the JD outage of each of ``rows`` of the ascending
+    # average SNRs, at total rates ``remaining``: level k runs the (nodes,
+    # weights) of rules[k] on [0, 1] scaled to [0, min(remaining, cap_k)] at
+    # every node of the levels above, as upper * weights * density(upper *
+    # nodes), in place in three arrays. Link k's rate share x has density
+    # ln2/G * e^(y - expm1(y)/G), y = x ln2; the last link's CDF is closed.
+    def link(values, k, ndim):  # link k's, for arrays of ndim dimensions
+        return values[(rows, k) + (None,) * (ndim - 1)]
+    n = snrs.shape[1] - 1
     factors = []
-    for (density, cap), (nodes, weights) in zip(levels, rules):
-        upper = np.minimum(remaining, cap if isinstance(cap, float)
-                           else cap[rows])[..., None]
+    for k, (nodes, weights) in zip(range(n), rules):
+        upper = np.minimum(remaining, link(caps, k, k + 1))[..., None]
         x = np.multiply(upper, nodes)
-        scratch = np.empty_like(x)
-        factor = density(x, rows, np.empty_like(x), scratch)
+        mean, scratch = link(snrs, k, k + 2), np.empty_like(x)
+        y = np.multiply(x, LN2, out=np.empty_like(x))
+        np.divide(np.expm1(y, out=scratch), mean, out=scratch)
+        factor = np.exp(np.subtract(y, scratch, out=y), out=y)
+        np.multiply(factor, LN2 / mean, out=factor)
         factors.append(np.multiply(np.multiply(upper, weights, out=scratch),
                                    factor, out=factor))
         remaining = np.subtract(remaining[..., None], x, out=x)
-    estimate = innermost(remaining, rows)
+    rate = np.minimum(remaining, link(caps, n, n + 1), out=remaining)
+    np.expm1(np.multiply(rate, LN2, out=rate), out=rate)
+    np.divide(rate, link(snrs, n, n + 1), out=rate)
+    estimate = np.negative(np.expm1(np.negative(rate, out=rate), out=rate),
+                           out=rate)
     for factor in reversed(factors):
         estimate = np.einsum("...i,...i->...", factor, estimate)
     return estimate
 
 
-def _nested_integral(levels, innermost, total, rel_tol: float, rows=None):
-    """I_0(total), where I_k(r) is the integral over x in [0, min(r, cap_k)]
-    of density_k(x) * I_{k+1}(r - x) for each (density_k, cap_k) of
-    ``levels``, and the last I is ``innermost``.
+def _jd_caps(snrs: np.ndarray) -> np.ndarray:
+    # Each rate share x = log2(1 + gamma) runs up to log1p(745 G)/ln2, which
+    # keeps the range of a weak link that 1 + 745 G rounds to [0, 0].
+    return np.array([math.log1p(_JD_TAIL_MEANS * g) for g in
+                     snrs.ravel().tolist()]).reshape(snrs.shape) / LN2
 
-    ``total`` is a float, or an array of one total per row, of which
-    ``rows`` (increasing indices; all by default) are evaluated. A cap is a
-    float, or one per row shaped to broadcast against the remaining rates:
-    one axis over the rows, one more per level above. ``density(x, rows,
-    out, scratch)`` returns the density at the rate shares x of ``rows``
-    (x's first axis: a slice or an index array), in out or a new array,
-    and may overwrite scratch; ``innermost(rate, rows)`` may overwrite rate.
+
+def _nested_integral(snrs, caps, totals, rows):
+    """The JD outage at the total rate totals[i] of each i of ``rows``
+    (increasing indices into the (n, N) ascending average SNRs ``snrs``,
+    whose rate-share caps are ``caps``), clamped to [0, 1]: one value per
+    row of ``snrs``, nan where a row is not evaluated or would pass
+    _MAX_NODES.
 
     Composite Gauss-Legendre on equal panels, each level evaluated over all
     nodes of the level above at once. Each row's panel count doubles until
-    two successive estimates agree to ``rel_tol``; the rows at one panel
-    count share their numpy calls, up to _ROW_NODES innermost nodes per
-    call. Returns the finer estimate and the difference of the two: floats,
-    with QuadratureError once that would pass _MAX_NODES; or arrays, nan
-    where a row raises that error or is not evaluated.
+    two successive estimates agree to _REL_TOL relative; the rows at one
+    panel count share their numpy calls, up to _ROW_NODES innermost nodes
+    per call.
     """
-    totals = np.array(total, dtype=float, ndmin=1)
-    values, errs = [math.nan] * totals.size, [math.nan] * totals.size
-    active = list(range(totals.size) if rows is None else rows)
-    panels, depth = 1, len(levels)
+    values = [math.nan] * len(totals)
+    active = list(rows)
+    panels, depth = 1, snrs.shape[1] - 1
     while active and (_GL_NODES.size * panels) ** depth <= _MAX_NODES:
         nodes, weights = _RULES.get(panels) or _panel_rule(panels)
-        inner = [(nodes, weights)] * max(depth - 1, 0)
+        inner = [(nodes, weights)] * (depth - 1)
         block = max(1, _BLOCK_NODES // nodes.size ** len(inner))
         step = max(1, _ROW_NODES // (min(block, nodes.size)
                                      * nodes.size ** len(inner)))
@@ -307,59 +318,17 @@ def _nested_integral(levels, innermost, total, rel_tol: float, rows=None):
             rows = (slice(chunk[0], chunk[-1] + 1)
                     if chunk[-1] - chunk[0] < len(chunk) else np.array(chunk))
             estimate = sum(_nested_sum(
-                levels, innermost, totals[rows].copy(), rows,
+                snrs, caps, totals[rows].copy(), rows,
                 [(nodes[i:i + block], weights[i:i + block])] + inner)
                 for i in range(0, nodes.size, block))
             for row, value in zip(chunk, estimate.tolist()):
-                values[row], errs[row] = value, abs(value - values[row])
-                if not errs[row] <= rel_tol * abs(value):
+                if not abs(value - values[row]) <= _REL_TOL * abs(value):
                     active.append(row)
+                values[row] = value
         panels *= 2
-    if isinstance(total, np.ndarray):
-        values = np.array(values)
-        values[active] = math.nan
-        return values, np.array(errs)
-    if active:
-        raise QuadratureError(
-            f"requested rel_tol {rel_tol} not achieved within {panels // 2} "
-            f"panels per level (last change {errs[0]:.3g} on value "
-            f"{values[0]:.3g})")
-    return values[0], errs[0]
-
-
-def _rate_share_density(means):
-    # Density of x = log2(1 + gamma), gamma ~ Exp(mean), of each row's mean,
-    # shaped to broadcast against x; every ln2/mean must be finite.
-    scales = LN2 / means
-
-    def density(x, rows, out, scratch):
-        y = np.multiply(x, LN2, out=out)
-        np.divide(np.expm1(y, out=scratch), means[rows], out=scratch)
-        np.exp(np.subtract(y, scratch, out=out), out=out)
-        return np.multiply(out, scales[rows], out=out)
-    return density
-
-
-def _jd_integrand(snrs: np.ndarray):
-    # (levels, innermost) of the JD outage of each row of ascending average
-    # SNRs. Each rate share x = log2(1 + gamma) runs up to log1p(745 G)/ln2,
-    # which keeps the range of a weak link that 1 + 745 G rounds to [0, 0].
-    caps = np.array([math.log1p(_JD_TAIL_MEANS * g) for g in
-                     snrs.ravel().tolist()]).reshape(snrs.shape) / LN2
-    n = snrs.shape[1] - 1
-
-    def link(values, k, ndim):  # link k's, for arrays of ndim dimensions
-        return values[:, k].reshape((-1,) + (1,) * (ndim - 1))
-    last, last_cap = link(snrs, n, n + 1), link(caps, n, n + 1)
-
-    def innermost(rate, rows):
-        np.minimum(rate, last_cap[rows], out=rate)
-        np.expm1(np.multiply(rate, LN2, out=rate), out=rate)
-        np.divide(rate, last[rows], out=rate)
-        return np.negative(np.expm1(np.negative(rate, out=rate), out=rate),
-                           out=rate)
-    return ([(_rate_share_density(link(snrs, k, k + 2)), link(caps, k, k + 1))
-             for k in range(n)], innermost)
+    for row in active:
+        values[row] = math.nan
+    return np.array([min(max(value, 0.0), 1.0) for value in values])
 
 
 def outage_jd_quadrature(avg_snrs: Sequence[float],
@@ -370,7 +339,8 @@ def outage_jd_quadrature(avg_snrs: Sequence[float],
     the strongest, weakest outermost, each on [0, min(remaining rate,
     log2(1 + 745 G_i))]; the strongest link's CDF is closed form, so the
     value does not depend on the link order. Panels double until two
-    successive estimates agree to 1e-8 relative. Supports N <= 4;
+    successive estimates agree to 1e-8 relative, QuadratureError once that
+    would pass _MAX_NODES innermost evaluations. Supports N <= 4;
     DomainError where A_1(r_c) = 2^r_c - 1 overflows a float, or where an
     average SNR is below ln 2 / DBL_MAX (about 3.9e-309). A sweep column
     gives each of its points these bits through ``_jd_outage_rows``.
@@ -391,8 +361,14 @@ def outage_jd_quadrature(avg_snrs: Sequence[float],
         raise DomainError(f"A_1({r_c}) overflows a float") from None
     for mean in snrs:
         _require_positive("JD rate-share density scale ln2/G", LN2 / mean)
-    value, _ = _nested_integral(*_jd_integrand(np.array([snrs])), r_c, 1e-8)
-    return OutageEstimate(value=min(max(value, 0.0), 1.0), method="quadrature")
+    snrs = np.array([snrs])
+    value = _nested_integral(snrs, _jd_caps(snrs), np.array([float(r_c)]),
+                             [0]).item()
+    if math.isnan(value):
+        raise QuadratureError(
+            f"relative tolerance {_REL_TOL} not achieved within "
+            f"{_MAX_NODES} innermost evaluations per estimate")
+    return OutageEstimate(value=value, method="quadrature")
 
 
 def _jd_outage_rows(snrs: np.ndarray):
@@ -400,7 +376,7 @@ def _jd_outage_rows(snrs: np.ndarray):
     into an (n, N) array of average SNRs), ``outage_jd_quadrature(snrs[i],
     r_c).value``, nan where it raises; r_c is a float or one rate per row
     of ``rows``, each positive with a finite A_1(r_c). A call runs all its
-    rows through one ``_nested_integral``."""
+    rows through one ``_nested_integral``; the caps are built once."""
     snrs = np.sort(snrs, axis=1)
     # A row raises where an SNR is not finite and positive, or so small
     # that ln2/G overflows, and where it has more than 4 links.
@@ -408,17 +384,14 @@ def _jd_outage_rows(snrs: np.ndarray):
         ok = ((snrs[:, 0] > 0) & (LN2 / snrs[:, 0] < math.inf)
               & (snrs[:, -1] < math.inf)
               & (snrs.shape[1] <= MAX_QUADRATURE_LINKS))
-    levels, innermost = _jd_integrand(np.where(ok[:, None], snrs, 1.0))
-    ok = ok.tolist()
+    snrs = np.where(ok[:, None], snrs, 1.0)
+    caps, ok = _jd_caps(snrs), ok.tolist()
 
     def outage(rows, r_c):
         totals = np.zeros(len(snrs))
         totals[rows] = r_c
-        values = _nested_integral(levels, innermost, totals, 1e-8,
-                                  [i for i in rows if ok[i]])[0][rows]
-        # outage_jd_quadrature's clamp; an estimate is never -0.0.
-        return np.minimum(np.maximum(values, 0.0, out=values), 1.0,
-                          out=values)
+        return _nested_integral(snrs, caps, totals,
+                                [i for i in rows if ok[i]])[rows]
     return outage
 
 

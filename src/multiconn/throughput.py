@@ -16,14 +16,13 @@ from .exceptions import (BracketError, ConvergenceError, DomainError,
 from .link_model import Topology, average_snrs
 from .outage import (_jd_outage_rows, outage_exact_closed,
                      outage_jd_quadrature)
-from .special_functions import (_each, _inverse_rows,
+from .special_functions import (LN2, _each, _inverse_rows,
                                 coding_constant_inverse)
 
 DEFAULT_RATE_BRACKET = (1e-6, 64.0)
 # The rate root is the midpoint of a bracket no wider than 2 * _RATE_XTOL.
 _RATE_XTOL = 1e-6
 _MAX_ROOT_ITERATIONS = 100
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,7 @@ def _rate_root(combiner: Combiner, snrs, p_out: float):
             continue
         g = math.log(value) - log_p
         if last is None:  # high-SNR slope: P_out ~ (2^R - 1)^N
-            slope = n * _LN2 / -math.expm1(-_LN2 * r_c)
+            slope = n * LN2 / -math.expm1(-LN2 * r_c)
         else:
             slope = (g - last[1]) / (r_c - last[0])
         last = r_c, g

@@ -547,7 +547,8 @@ class TestJdQuadrature:
     def test_panel_cap_raises(self, monkeypatch):
         # One 16-node panel per level fits, the doubling to two does not.
         monkeypatch.setattr(outage, "_MAX_NODES", 16)
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError,
+                           match="tolerance 1e-08 .* within 16 innermost"):
             outage_jd_quadrature([5.0, 9.0], 1.0)
 
 
@@ -560,21 +561,33 @@ def _per_call_rule(panels):
     return nodes, weights
 
 
-def _per_call_density(means):
-    # The JD rate-share density out of place, with x * LN2 evaluated twice:
-    # the reference for the in-place density that evaluates it once.
-    def density(x, rows, out, scratch):
-        mean = means[rows]
-        out[...] = LN2 / mean * np.exp(x * LN2 - np.expm1(x * LN2) / mean)
-        return out
-    return density
+def _per_call_sum(snrs, caps, remaining, rows, rules):
+    # One JD estimate out of place, with x * LN2 evaluated twice and the
+    # density as LN2 / mean * exp(...): the reference for the in-place
+    # estimate that evaluates it once.
+    def link(values, k, ndim):
+        return values[rows, k].reshape((-1,) + (1,) * (ndim - 1))
+    n = snrs.shape[1] - 1
+    factors = []
+    for k, (nodes, weights) in zip(range(n), rules):
+        upper = np.minimum(remaining, link(caps, k, k + 1))[..., None]
+        x = upper * nodes
+        mean = link(snrs, k, k + 2)
+        density = LN2 / mean * np.exp(x * LN2 - np.expm1(x * LN2) / mean)
+        factors.append(upper * weights * density)
+        remaining = remaining[..., None] - x
+    rate = np.minimum(remaining, link(caps, n, n + 1))
+    estimate = -np.expm1(-(np.expm1(rate * LN2) / link(snrs, n, n + 1)))
+    for factor in reversed(factors):
+        estimate = np.einsum("...i,...i->...", factor, estimate)
+    return estimate
 
 
 def _per_call(monkeypatch, func, *args):
     with monkeypatch.context() as patch:
         patch.setattr(outage, "_RULES", {})
         patch.setattr(outage, "_panel_rule", _per_call_rule)
-        patch.setattr(outage, "_rate_share_density", _per_call_density)
+        patch.setattr(outage, "_nested_sum", _per_call_sum)
         return func(*args)
 
 
@@ -612,7 +625,8 @@ class TestRuleTable:
                     array[0] = 0.0
 
     def test_larger_rules_are_not_retained(self, monkeypatch):
-        # sqrt's endpoint singularity needs 512, 1024 and 2048 panels.
+        # With a table of 1 and 2 panels, the weak link's rules of 4 to 64
+        # panels are built for their estimates and dropped.
         built, panel_rule = [], outage._panel_rule
 
         def spy(panels):
@@ -620,14 +634,23 @@ class TestRuleTable:
             built.append((panels, weakref.ref(rule[0]), weakref.ref(rule[1])))
             return rule
 
+        expected = outage_jd_quadrature([5e-6, 5.0], 1.0).value
+        table = {panels: outage._RULES[panels] for panels in (1, 2)}
+        monkeypatch.setattr(outage, "_RULES", table)
         monkeypatch.setattr(outage, "_panel_rule", spy)
-        value, _ = outage._nested_integral([(lambda x, *_: np.ones_like(x),
-                                             math.inf)],
-                                           lambda r, _: np.sqrt(r), 1.0, 1e-9)
-        assert value == pytest.approx(2.0 / 3.0, rel=1e-9)
-        assert [panels for panels, *_ in built] == [512, 1024, 2048]
+        assert outage_jd_quadrature([5e-6, 5.0], 1.0).value == expected
+        assert [panels for panels, *_ in built] == [4, 8, 16, 32, 64]
         assert all(ref() is None for _, *refs in built for ref in refs)
-        assert sorted(outage._RULES) == [1 << k for k in range(9)]
+        assert sorted(table) == [1, 2]
+
+
+# The selftest's A_N oracle is the high-SNR limit of exact JD outage:
+# G^N * P_JD(G, ..., G) at G = 1e12 is A_N up to a relative O(A_1 / G).
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("r_c", [1e-3, 0.1, 1.0, 4.0, 8.0])
+def test_selftest_oracle_is_the_high_snr_limit(n, r_c):
+    assert _coding_constant_quadrature(n, r_c) == pytest.approx(
+        coding_constant(n, r_c), rel=1e-9)
 
 
 def _bits(values):
