@@ -84,8 +84,10 @@ def achievable_rate_exact(combiner, topology: Topology, p_out: float) -> float:
     outage is 0.0, or a seed that raises is replaced by a bisection. The
     root returned is the midpoint of a bracket no wider than 2e-6, so it
     lies within 1e-6 of the true root, or a rate where P_out is p_out.
-    The secant is ``_rate_root``, here sent one outage at a time; a JD
-    sweep column runs the roots of its points in lockstep, with these bits.
+    For JD, a bracket end whose sign a closed-form bound certifies is not
+    evaluated. The secant is ``_rate_root``, here sent one outage at a
+    time; a JD sweep column runs the roots of its points in lockstep, with
+    these bits.
     """
     combiner = Combiner.parse(combiner)
     _require_probability("p_out", p_out)
@@ -110,11 +112,21 @@ def achievable_rate_exact(combiner, topology: Topology, p_out: float) -> float:
 def _rate_root(combiner: Combiner, snrs, p_out: float):
     """The secant of ``achievable_rate_exact`` as a generator: it yields
     each rate at which it needs the exact outage, is sent that outage, and
-    returns the root (or raises as ``achievable_rate_exact`` does)."""
+    returns the root (or raises as ``achievable_rate_exact`` does). It does
+    not ask for a JD bracket end whose sign ``_jd_certified_ends`` certifies,
+    unless it raises BracketError, whose message prints both ends' outage;
+    as it reads only the signs of the end values, the root keeps its bits."""
     lo, hi = DEFAULT_RATE_BRACKET
-    f_lo = (yield lo) - p_out
-    f_hi = (yield hi) - p_out
+    low_ok, high_ok = (_jd_certified_ends(snrs, p_out)
+                       if combiner is Combiner.JD else (False, False))
+    f_lo = -math.inf if low_ok else (yield lo) - p_out
+    f_hi = math.inf if high_ok else (yield hi) - p_out
     if f_lo > 0 or f_hi < 0:
+        # A certified end cannot fail; the message prints its outage too.
+        if low_ok:
+            f_lo = (yield lo) - p_out
+        if high_ok:
+            f_hi = (yield hi) - p_out
         raise BracketError(
             f"p_out={p_out} is not attainable within rate bracket "
             f"[{lo}, {hi}] (outage range [{f_lo + p_out:.3g}, "
@@ -160,6 +172,25 @@ def _rate_root(combiner: Combiner, snrs, p_out: float):
         r_c -= math.copysign(max(abs(step), _RATE_XTOL), value - p_out)
     raise ConvergenceError(
         f"rate root did not converge in {_MAX_ROOT_ITERATIONS} steps")
+
+
+def _jd_certified_ends(snrs, p_out: float) -> tuple[bool, bool]:
+    """Whether closed-form bounds certify P_JD(lo) < p_out and P_JD(hi) >
+    p_out at the ends (lo, hi) of DEFAULT_RATE_BRACKET. C_JD >= C_SC bounds
+    P_JD(R) above by P_SC(R) = prod(1 - e^(-A_1(R) / G_i)); and where every
+    link carries less than R/N the sum carries less than R, so P_SC(R/N)
+    bounds P_JD(R) below. The factor-2 margins cover the quadrature's 1e-8
+    relative error, so a certified end has the sign its quadrature gives."""
+    snrs = [float(g) for g in snrs]  # floats: a few links, no numpy calls
+    if not all(0 < g < math.inf for g in snrs):
+        return False, False
+    lo, hi = DEFAULT_RATE_BRACKET
+
+    def selection(share):  # P_SC where each link's rate share is ``share``
+        a_1 = math.expm1(share * LN2)
+        return math.prod(-math.expm1(-a_1 / g) for g in snrs)
+    return (selection(lo) <= 0.5 * p_out,
+            selection(hi / len(snrs)) >= 2.0 * p_out)
 
 
 def _jd_rate_rows(snrs: np.ndarray, p_out: float) -> np.ndarray:

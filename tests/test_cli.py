@@ -503,13 +503,17 @@ class TestJdExactColumns:
         assert (code, out, err) == _per_point(argv)
 
     def test_quadrature_error_of_a_middle_point(self, monkeypatch):
-        # With 4 panels per level at most, the roots at 20 and 25 dB
-        # converge and the one at 30 dB raises: exit 3 with its message.
+        # With 64 innermost nodes per estimate at most, the roots at 50 and
+        # 55 dB converge and the one at 60 dB raises: exit 3 with its
+        # message.
         monkeypatch.setattr(outage_mod, "_MAX_NODES", 64)
         argv = ["throughput", "--method", "exact", "--n-links", "2",
-                "--distances", "1,3", "--snr-db-range", "20:40:5",
+                "--distances", "1,3", "--snr-db-range", "50:70:5",
                 "--outage", "1e-3"]
-        topology = equal_power_topology(db_to_linear(30.0), [1.0, 3.0], 2.0,
+        for snr_db in (50.0, 55.0):
+            throughput_mod.achievable_rate_exact("jd", equal_power_topology(
+                db_to_linear(snr_db), [1.0, 3.0], 2.0, 20e6), 1e-3)
+        topology = equal_power_topology(db_to_linear(60.0), [1.0, 3.0], 2.0,
                                         20e6)
         with pytest.raises(QuadratureError) as raised:
             throughput_mod.achievable_rate_exact("jd", topology, 1e-3)

@@ -1,11 +1,12 @@
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import bisect, brentq
 
-from multiconn import throughput
+from multiconn import outage, throughput
 from multiconn.exceptions import BracketError, ConvergenceError, DomainError
 from multiconn.link_model import Link, Topology
 from multiconn.outage import outage_exact_closed, outage_jd_quadrature
@@ -235,6 +236,136 @@ class TestExactRate:
         topo = _topology([5.0])
         with pytest.raises(DomainError):
             achievable_rate_exact("sc", topo, 0.0)
+
+
+def _selection(means, share):
+    # P_SC at a per-link rate share: prod(1 - e^(-(2^share - 1) / G_i)).
+    return math.prod(-math.expm1(-math.expm1(share * math.log(2)) / g)
+                     for g in means)
+
+
+def _certified_rows(n, count, seed):
+    # Seeded JD rows of 0..35 dB links whose roots at 1e-3 have both ends
+    # certified.
+    rng = np.random.default_rng(seed)
+    snrs = 10.0 ** (rng.uniform(0.0, 35.0, (count, n)) / 10.0)
+    assert all(throughput._jd_certified_ends(row, 1e-3) == (True, True)
+               for row in snrs)
+    return snrs
+
+
+def _totals_spy(monkeypatch):
+    # The total rates of every row that ``_nested_integral`` evaluates.
+    totals, nested_integral = [], outage._nested_integral
+
+    def spy(snrs, caps, rates, rows):
+        totals.extend(rates[i] for i in rows)
+        return nested_integral(snrs, caps, rates, rows)
+    monkeypatch.setattr(outage, "_nested_integral", spy)
+    return totals
+
+
+def _uncertified(monkeypatch):
+    monkeypatch.setattr(throughput, "_jd_certified_ends",
+                        lambda snrs, p_out: (False, False))
+
+
+class TestCertifiedEnds:
+    """A JD root skips the quadrature at a bracket end whose sign closed-form
+    bounds certify, and keeps the bits of a root that evaluates it."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bounds_enclose_the_exact_outage(self, n):
+        # P_SC(R / N) <= P_JD(R) <= P_SC(R), within the quadrature's 1e-8.
+        rng = np.random.default_rng(40 + n)
+        for _ in range(6 if n == 4 else 12):
+            means = list(10.0 ** rng.uniform(-1.0, 4.0, n))
+            for r_c in (1e-6, 0.5, 2.0, 8.0, 64.0):
+                value = outage_jd_quadrature(means, r_c).value
+                assert _selection(means, r_c / n) <= value * (1 + 1e-8)
+                assert value <= _selection(means, r_c) * (1 + 1e-8)
+
+    def test_certified_ends_have_their_signs(self):
+        # Every certified end's quadrature lies on the certified side of
+        # p_out; targets near each bound give both verdicts at each end.
+        lo, hi = DEFAULT_RATE_BRACKET
+        rng = np.random.default_rng(50)
+        verdicts = set()
+        for n in (2, 3):
+            for _ in range(8):
+                means = list(10.0 ** rng.uniform(-2.0, 4.0, n))
+                low, high = _selection(means, lo), _selection(means, hi / n)
+                for p_out in {2 * low * 0.999, 2 * low * 1.001,
+                              high / 2 * 0.999, high / 2 * 1.001}:
+                    if not 0 < p_out < 1:
+                        continue
+                    ends = throughput._jd_certified_ends(means, p_out)
+                    verdicts.update(enumerate(ends))
+                    if ends[0]:
+                        assert outage_jd_quadrature(means, lo).value < p_out
+                    if ends[1]:
+                        assert outage_jd_quadrature(means, hi).value > p_out
+        assert verdicts == {(0, False), (0, True), (1, False), (1, True)}
+
+    def test_invalid_snrs_certify_nothing(self):
+        for means in ([0.0, 5.0], [-1.0, 5.0], [math.inf, 5.0],
+                      [math.nan, 5.0]):
+            assert throughput._jd_certified_ends(means, 1e-3) == (
+                False, False)
+
+    @pytest.mark.parametrize("n,count", [(2, 8), (3, 6), (4, 2)])
+    def test_per_point_root_skips_the_certified_ends(self, monkeypatch, n,
+                                                     count):
+        lo, hi = DEFAULT_RATE_BRACKET
+        for means in _certified_rows(n, count, seed=60 + n).tolist():
+            with monkeypatch.context() as patch:
+                totals = _totals_spy(patch)
+                root = achievable_rate_exact("jd", _topology(means), 1e-3)
+            assert totals and lo not in totals and hi not in totals
+            with monkeypatch.context() as patch:
+                _uncertified(patch)
+                totals = _totals_spy(patch)
+                expected = achievable_rate_exact("jd", _topology(means),
+                                                 1e-3)
+            assert totals[:2] == [lo, hi]
+            assert root.hex() == expected.hex()
+
+    @pytest.mark.parametrize("n,count", [(2, 12), (3, 8), (4, 3)])
+    def test_sweep_column_skips_the_certified_ends(self, monkeypatch, n,
+                                                   count):
+        lo, hi = DEFAULT_RATE_BRACKET
+        snrs = _certified_rows(n, count, seed=70 + n)
+        with monkeypatch.context() as patch:
+            totals = _totals_spy(patch)
+            roots = throughput._jd_rate_rows(snrs, 1e-3)
+        assert totals and lo not in totals and hi not in totals
+        with monkeypatch.context() as patch:
+            _uncertified(patch)
+            totals = _totals_spy(patch)
+            expected = throughput._jd_rate_rows(snrs, 1e-3)
+        assert totals.count(lo) == totals.count(hi) == count
+        assert roots.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("means,ends", [([1e-9, 1e-9], (False, True)),
+                                            ([1e25, 1e25], (True, False))])
+    def test_unattainable_target_raises_with_both_outages(self, monkeypatch,
+                                                          means, ends):
+        # One end is certified and the other fails: the message prints the
+        # outage at both ends, as a root without certificates does.
+        assert throughput._jd_certified_ends(means, 1e-3) == ends
+        with pytest.raises(BracketError) as raised:
+            achievable_rate_exact("jd", _topology(means), 1e-3)
+        _uncertified(monkeypatch)
+        with pytest.raises(BracketError) as expected:
+            achievable_rate_exact("jd", _topology(means), 1e-3)
+        assert str(raised.value) == str(expected.value)
+        # The range prints each end's P_out - p_out + p_out: 0 for 1e25.
+        low, high = (outage_jd_quadrature(means, rate).value - 1e-3 + 1e-3
+                     for rate in DEFAULT_RATE_BRACKET)
+        assert str(raised.value) == (
+            "p_out=0.001 is not attainable within rate bracket [1e-06, 64.0] "
+            f"(outage range [{low:.3g}, {high:.3g}])")
+        assert np.isnan(throughput._jd_rate_rows(np.array([means]), 1e-3)[0])
 
 
 class TestWrappers:
