@@ -536,6 +536,28 @@ class TestJdQuadrature:
         assert outage_jd_quadrature(snrs, r_c).value == pytest.approx(
             _jd_nested_quad(snrs, r_c, 1e-11), rel=1e-10)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_spread_links_agree_with_nested_adaptive_quadrature(self, n):
+        # Seeded rows whose links spread over 40-90 dB, R in 0.3..6. The
+        # adaptive route also takes the weakest link outermost: a weak last
+        # link's CDF steps within the end of each inner range.
+        rng = np.random.default_rng(910 + n)
+        for _ in range(24):
+            top, spread = rng.uniform(-10.0, 40.0), rng.uniform(40.0, 90.0)
+            snrs_db = [top, top - spread, *(top - spread * rng.uniform(
+                0.0, 1.0, n - 2))]
+            snrs = [10.0 ** (x / 10.0) for x in rng.permutation(snrs_db)]
+            r_c = 10.0 ** rng.uniform(math.log10(0.3), math.log10(6.0))
+            assert outage_jd_quadrature(snrs, r_c).value == pytest.approx(
+                _jd_nested_quad(sorted(snrs), r_c, 1e-11), rel=1e-10)
+
+    def test_weak_fourth_link_converges(self):
+        # One link 47 dB below three others: the doubled 16-node panels
+        # passed _MAX_NODES (QuadratureError); the 24-node rule converges.
+        snrs = [2e-5, 1.0, 1.0, 1.0]
+        assert outage_jd_quadrature(snrs, 1.0).value == pytest.approx(
+            _jd_nested_quad(snrs, 1.0, 1e-11), rel=1e-9)
+
     @pytest.mark.parametrize("block", [1, 7, 300])
     def test_blocks_of_outer_nodes_sum_to_one_estimate(self, monkeypatch,
                                                        block):
@@ -617,15 +639,17 @@ class TestRuleTable:
 
     def test_rules_are_read_only(self):
         assert sorted(outage._RULES) == [1 << k for k in range(9)]
-        for panels, (nodes, weights) in outage._RULES.items():
-            assert nodes.size == weights.size == 16 * panels
+        rules = [(1, 16, outage._FIRST_RULE)] + [
+            (panels, 24, rule) for panels, rule in outage._RULES.items()]
+        for panels, order, (nodes, weights) in rules:
+            assert nodes.size == weights.size == order * panels
             for array in (nodes, weights):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0.0
 
     def test_larger_rules_are_not_retained(self, monkeypatch):
-        # With a table of 1 and 2 panels, the weak link's rules of 4 to 64
+        # With a table of 1 and 2 panels, the weak link's rules of 4 to 16
         # panels are built for their estimates and dropped.
         built, panel_rule = [], outage._panel_rule
 
@@ -639,7 +663,7 @@ class TestRuleTable:
         monkeypatch.setattr(outage, "_RULES", table)
         monkeypatch.setattr(outage, "_panel_rule", spy)
         assert outage_jd_quadrature([5e-6, 5.0], 1.0).value == expected
-        assert [panels for panels, *_ in built] == [4, 8, 16, 32, 64]
+        assert [panels for panels, *_ in built] == [4, 8, 16]
         assert all(ref() is None for _, *refs in built for ref in refs)
         assert sorted(table) == [1, 2]
 
@@ -699,8 +723,10 @@ class TestJdRows:
             _per_row(snrs[subset], [1.5] * len(subset)))
 
     def test_rows_converge_at_their_own_panel_counts(self, monkeypatch):
-        # The weak links need 64 panels per level, the others 2 to 8; the
-        # converged rows leave the block, the weak ones go on alone.
+        # After the 16-node estimate and the first 24-node one, which all
+        # rows take, the weak links need 16 panels per level, the others 1
+        # to 4; the converged rows leave the block, the weak ones go on
+        # alone.
         snrs = np.array([[2e-5, 1.0, 1.0], [3.0, 5.0, 9.0], [1.0, 1.0, 2e-5],
                          [1e-2, 1.0, 3.0], [40.0, 90.0, 7.0]])
         rates = np.array([1.0, 2.0, 1.0, 2.0, 4.0])
@@ -708,9 +734,9 @@ class TestJdRows:
         calls = _panels_spy(monkeypatch)
         assert _bits(outage._jd_outage_rows(snrs)(range(5), rates)) == (
             _bits(expected))
-        assert calls[0] == (5, 16)
-        assert max(nodes for _, nodes in calls) >= 64 * 16
-        assert all(rows <= 2 for rows, nodes in calls if nodes >= 64)
+        assert calls[:2] == [(5, 16), (5, 24)]
+        assert max(nodes for _, nodes in calls) >= 16 * 24
+        assert all(rows <= 2 for rows, nodes in calls if nodes >= 4 * 24)
 
     @pytest.mark.parametrize("block", [1, 7, 300])
     @pytest.mark.parametrize("n", [3, 4])
