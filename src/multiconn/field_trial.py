@@ -23,8 +23,8 @@ from .exceptions import (TraceError, _require_count, _require_finite,
                          _require_nonnegative, _require_positive,
                          _require_probability)
 from .link_model import db_to_linear
-from .outage import _asymptote, _closed_form
-from .special_functions import _each, coding_constant
+from .outage import _asymptote, _outage_rows
+from .special_functions import coding_constant
 from .throughput import _rate_inverse, throughput_asymptotic
 
 TRACE_HEADER = ("measurement_id", "bs_id", "avg_snr_db")
@@ -267,9 +267,9 @@ def empirical_outage_cdf(trace: SnrTrace, n: int, r_c: float,
     """Per-measurement outage on the n strongest links, as a CDF.
 
     Each value is bitwise that of ``outage_asymptotic`` (JD) or
-    ``outage_exact_closed`` on the measurement's n strongest links. SC and
-    SCo rows are one column product (``math.expm1`` per link), MRC rows
-    run the closed forms row by row."""
+    ``outage_exact_closed`` on the measurement's n strongest links: JD rows
+    are one array of asymptotes, the other combiners' rows one call of
+    ``_outage_rows``."""
     combiner = Combiner.parse(combiner)
     _require_positive("r_c", r_c)
     rows, skipped = _strongest_rows(trace, n, combiner)
@@ -278,14 +278,9 @@ def empirical_outage_cdf(trace: SnrTrace, n: int, r_c: float,
         with np.errstate(over="ignore"):
             values = np.minimum(_asymptote(combiner, rows.shape[1], r_c,
                                            rows.prod(axis=1)), 1.0)
-    elif combiner is Combiner.MRC:
-        a1 = coding_constant(1, r_c)
-        values = [_closed_form(combiner, snrs, a1) for snrs in rows.tolist()]
-    else:  # SC and SCo: _closed_form's factors and product, per column
-        with np.errstate(over="ignore"):
-            factors = -_each(math.expm1, -coding_constant(1, r_c)
-                             / rows.ravel()).reshape(rows.shape)
-        values = math.prod(factors.T)
+    else:
+        coding_constant(1, r_c)  # DomainError where A_1 overflows
+        values = _outage_rows(combiner, rows)(range(len(rows)), r_c)
     return EmpiricalCdf.from_samples(values, skipped=skipped)
 
 

@@ -23,7 +23,8 @@ from .exceptions import (DomainError, QuadratureError,
                          _require_finite, _require_nonnegative,
                          _require_positive, _require_snrs)
 from .link_model import Topology, _to_snrs, average_snrs, iter_snr_chunks
-from .special_functions import LN2, _each, _exp_sum, coding_constant
+from .special_functions import (LN2, _coding_constants, _each, _exp_sum,
+                                coding_constant)
 
 #: Largest link count served by nested quadrature.
 MAX_QUADRATURE_LINKS = 4
@@ -288,13 +289,6 @@ def _nested_sum(snrs, caps, remaining, rows, rules):
     return estimate
 
 
-def _jd_caps(snrs: np.ndarray) -> np.ndarray:
-    # Each rate share x = log2(1 + gamma) runs up to log1p(745 G)/ln2, which
-    # keeps the range of a weak link that 1 + 745 G rounds to [0, 0].
-    return np.array([math.log1p(_JD_TAIL_MEANS * g) for g in
-                     snrs.ravel().tolist()]).reshape(snrs.shape) / LN2
-
-
 def _nested_integral(snrs, caps, totals, rows):
     """The JD outage at the total rate totals[i] of each i of ``rows``
     (increasing indices into the (n, N) ascending average SNRs ``snrs``,
@@ -353,10 +347,9 @@ def outage_jd_quadrature(avg_snrs: Sequence[float],
     successive estimates agree to 1e-8 relative, QuadratureError once one
     would pass _MAX_NODES innermost evaluations. Supports N <= 4;
     DomainError where A_1(r_c) = 2^r_c - 1 overflows a float, or where an
-    average SNR is below ln 2 / DBL_MAX (about 3.9e-309). A sweep column
-    gives each of its points these bits through ``_jd_outage_rows``.
+    average SNR is below ln 2 / DBL_MAX (about 3.9e-309). The value is one
+    row of ``_outage_rows``.
     """
-    # Ascending: equal panels miss the steep CDF of a weak last link.
     snrs = sorted(_require_snrs(avg_snrs))
     n = len(snrs)
     if n > MAX_QUADRATURE_LINKS:
@@ -366,15 +359,10 @@ def outage_jd_quadrature(avg_snrs: Sequence[float],
     _require_nonnegative("r_c", r_c)
     if r_c == 0:
         return OutageEstimate(value=0.0, method="quadrature")
-    try:
-        math.expm1(r_c * LN2)
-    except OverflowError:
-        raise DomainError(f"A_1({r_c}) overflows a float") from None
+    coding_constant(1, r_c)  # DomainError where A_1 overflows
     for mean in snrs:
         _require_positive("JD rate-share density scale ln2/G", LN2 / mean)
-    snrs = np.array([snrs])
-    value = _nested_integral(snrs, _jd_caps(snrs), np.array([float(r_c)]),
-                             [0]).item()
+    value = _outage_rows(Combiner.JD, np.array([snrs]))([0], r_c).item()
     if math.isnan(value):
         raise QuadratureError(
             f"relative tolerance {_REL_TOL} not achieved within "
@@ -382,27 +370,50 @@ def outage_jd_quadrature(avg_snrs: Sequence[float],
     return OutageEstimate(value=value, method="quadrature")
 
 
-def _jd_outage_rows(snrs: np.ndarray):
+def _outage_rows(combiner: Combiner, snrs: np.ndarray):
     """``outage(rows, r_c)``: for each i of ``rows`` (increasing indices
-    into an (n, N) array of average SNRs), ``outage_jd_quadrature(snrs[i],
-    r_c).value``, nan where it raises; r_c is a float or one rate per row
-    of ``rows``, each positive with a finite A_1(r_c). A call runs all its
-    rows through one ``_nested_integral``; the caps are built once."""
-    snrs = np.sort(snrs, axis=1)
-    # A row raises where an SNR is not finite and positive, or so small
-    # that ln2/G overflows, and where it has more than 4 links.
+    into an (n, N) array of average SNRs), the exact outage of row i at
+    rate r_c with the bits of ``outage_jd_quadrature`` (JD) or
+    ``outage_exact_closed``, nan where that raises; r_c is a float or one
+    rate per row of ``rows``, each positive with a finite A_1(r_c). JD rows
+    run through one ``_nested_integral``, SC and SCo rows are one product
+    of the columns -expm1(-A_1/G) in ``math.prod``'s order, and MRC rows
+    run ``_mrc_closed_form`` one by one."""
+    jd = combiner is Combiner.JD
+    if jd:  # ascending: equal panels miss the steep CDF of a weak last link
+        snrs = np.sort(snrs, axis=1)
+    # A row raises where an SNR is not finite and positive; a JD row also
+    # where ln2/G overflows or where it has more than 4 links.
     with np.errstate(divide="ignore", over="ignore"):
-        ok = ((snrs[:, 0] > 0) & (LN2 / snrs[:, 0] < math.inf)
-              & (snrs[:, -1] < math.inf)
-              & (snrs.shape[1] <= MAX_QUADRATURE_LINKS))
-    snrs = np.where(ok[:, None], snrs, 1.0)
-    caps, ok = _jd_caps(snrs), ok.tolist()
+        ok = ((snrs > 0) & (snrs < math.inf)).all(axis=1)
+        if jd:
+            ok &= ((LN2 / snrs[:, 0] < math.inf)
+                   & (snrs.shape[1] <= MAX_QUADRATURE_LINKS))
+    snrs = np.where(ok[:, None], snrs, 1.0)[
+        :, :1 if combiner is Combiner.SCO else None]
+    if jd:
+        # Each rate share x = log2(1 + gamma) runs up to log1p(745 G)/ln2,
+        # which keeps the range of a weak link that 1 + 745 G rounds to 0.
+        caps = np.array([math.log1p(_JD_TAIL_MEANS * g) for g in
+                         snrs.ravel().tolist()]).reshape(snrs.shape) / LN2
+        valid = ok.tolist()
 
     def outage(rows, r_c):
-        totals = np.zeros(len(snrs))
-        totals[rows] = r_c
-        return _nested_integral(snrs, caps, totals,
-                                [i for i in rows if ok[i]])[rows]
+        if jd:
+            totals = np.zeros(len(snrs))
+            totals[rows] = r_c
+            return _nested_integral(snrs, caps, totals,
+                                    [i for i in rows if valid[i]])[rows]
+        # A float A_1 for a float rate, else one per row.
+        a1 = _coding_constants(1, np.asarray(r_c, dtype=float))
+        if combiner is Combiner.MRC:
+            values = _each(_mrc_closed_form, snrs[rows], a1)
+        else:
+            with np.errstate(over="ignore"):
+                ratios = -np.reshape(a1, (-1, 1)) / snrs[rows]
+            values = math.prod(-_each(math.expm1, ratios.ravel()).reshape(
+                ratios.shape).T)
+        return np.where(ok[rows], values, math.nan)
     return outage
 
 
@@ -490,10 +501,12 @@ def outage_exact_closed(combiner, avg_snrs: Sequence[float],
                         r_c: float) -> OutageEstimate:
     """Closed-form exact outage for SC, MRC, and SCo (JD has none).
 
-    MRC routes between the equal-SNR and distinct-SNR forms based on the
+    SC multiplies the links' 1 - e^(-A_1/G), SCo takes link 1's. MRC
+    routes between the equal-SNR and distinct-SNR forms based on the
     pairwise spacing of the average SNRs; near-degenerate spacing, where
     both forms are ill-conditioned, takes the matrix exponential of the
-    pure-birth chain whose absorption time is the SNR sum.
+    pure-birth chain whose absorption time is the SNR sum. The value is one
+    row of ``_outage_rows``. DomainError where A_1(r_c) overflows a float.
     """
     combiner = Combiner.parse(combiner)
     snrs = _require_snrs(avg_snrs)
@@ -503,37 +516,34 @@ def outage_exact_closed(combiner, avg_snrs: Sequence[float],
                           "Monte-Carlo")
     if r_c == 0:
         return OutageEstimate(value=0.0, method="closed-form")
-    return OutageEstimate(
-        value=_closed_form(combiner, snrs, coding_constant(1, r_c)),
-        method="closed-form")
+    coding_constant(1, r_c)  # DomainError where A_1 overflows
+    value = _outage_rows(combiner, np.array([snrs]))([0], r_c).item()
+    return OutageEstimate(value=_require_finite("closed-form outage", value),
+                          method="closed-form")
 
 
-def _closed_form(combiner: Combiner, snrs: list[float], a1: float) -> float:
-    """``outage_exact_closed`` of SC, MRC or SCo at A_1(R_c) = a1 > 0."""
+def _mrc_closed_form(snrs: list[float], a1: float) -> float:
+    """The MRC outage of ``outage_exact_closed`` at A_1(R_c) = a1 > 0,
+    clamped to [0, 1]; nan only where the birth chain's is."""
     n = len(snrs)
-    if combiner is Combiner.SCO:
-        value = -math.expm1(-a1 / snrs[0])
-    elif combiner is Combiner.SC:
-        value = math.prod(-math.expm1(-a1 / g) for g in snrs)
-    else:  # MRC
-        kind, value = _spacing_kind(snrs), math.nan
-        if kind == "equal":
-            a = a1 / (sum(snrs) / n)
-            value = 1.0 - math.exp(-a) * _exp_sum(n, a)
-        elif kind == "distinct":
-            terms = []
-            for i, gi in enumerate(snrs):
-                prod = math.prod(1.0 / (gi - gj)
-                                 for j, gj in enumerate(snrs) if j != i)
-                terms.append(gi ** (n - 1) * -math.expm1(-a1 / gi) * prod)
-            try:
-                value = math.fsum(terms)
-            except (OverflowError, ValueError):  # inf - inf in the terms
-                pass
-        # Degenerate spacing, or a form that is not finite (subnormal SNRs).
-        if not math.isfinite(value):
-            value = _mrc_birth_cdf(snrs, a1)
-    return min(max(_require_finite("closed-form outage", value), 0.0), 1.0)
+    kind, value = _spacing_kind(snrs), math.nan
+    if kind == "equal":
+        a = a1 / (sum(snrs) / n)
+        value = 1.0 - math.exp(-a) * _exp_sum(n, a)
+    elif kind == "distinct":
+        try:
+            value = math.fsum(
+                gi ** (n - 1) * -math.expm1(-a1 / gi)
+                * math.prod(1.0 / (gi - gj)
+                            for j, gj in enumerate(snrs) if j != i)
+                for i, gi in enumerate(snrs))
+        # A power past the float range, or inf - inf in the terms.
+        except (OverflowError, ValueError):
+            pass
+    # Degenerate spacing, or a form that is not finite (subnormal SNRs).
+    if not math.isfinite(value):
+        value = _mrc_birth_cdf(snrs, a1)
+    return min(max(value, 0.0), 1.0)
 
 
 def outage_jd_lower_bound_tse(avg_snr: float, n: int,

@@ -14,8 +14,7 @@ from .exceptions import (BracketError, ConvergenceError, DomainError,
                          _float_result, _require_nonnegative, _require_positive,
                          _require_probability, _require_snrs)
 from .link_model import Topology, average_snrs
-from .outage import (_jd_outage_rows, outage_exact_closed,
-                     outage_jd_quadrature)
+from .outage import _outage_rows, outage_exact_closed, outage_jd_quadrature
 from .special_functions import (LN2, _each, _inverse_rows,
                                 coding_constant_inverse)
 
@@ -86,36 +85,31 @@ def achievable_rate_exact(combiner, topology: Topology, p_out: float) -> float:
     lies within 1e-6 of the true root, or a rate where P_out is p_out.
     For JD, a bracket end whose sign a closed-form bound certifies is not
     evaluated. The secant is ``_rate_root``, here sent one outage at a
-    time; a JD sweep column runs the roots of its points in lockstep, with
-    these bits.
+    time; a sweep column runs the roots of its points in lockstep through
+    ``_rate_rows``, with these bits.
     """
     combiner = Combiner.parse(combiner)
     _require_probability("p_out", p_out)
     snrs = average_snrs(topology)
-
-    if combiner is Combiner.JD:
-        def exact(r_c: float) -> float:
-            return outage_jd_quadrature(snrs, r_c).value
-    else:
-        def exact(r_c: float) -> float:
-            return outage_exact_closed(combiner, snrs, r_c).value
-
+    exact = (partial(outage_jd_quadrature, snrs) if combiner is Combiner.JD
+             else partial(outage_exact_closed, combiner, snrs))
     root = _rate_root(combiner, snrs, p_out)
     r_c = next(root)
     while True:
         try:
-            r_c = root.send(exact(r_c))
+            r_c = root.send(exact(r_c).value)
         except StopIteration as stop:
             return stop.value
 
 
 def _rate_root(combiner: Combiner, snrs, p_out: float):
-    """The secant of ``achievable_rate_exact`` as a generator: it yields
-    each rate at which it needs the exact outage, is sent that outage, and
-    returns the root (or raises as ``achievable_rate_exact`` does). It does
-    not ask for a JD bracket end whose sign ``_jd_certified_ends`` certifies,
-    unless it raises BracketError, whose message prints both ends' outage;
-    as it reads only the signs of the end values, the root keeps its bits."""
+    """The secant of ``achievable_rate_exact`` (and, in lockstep, of
+    ``_rate_rows``) as a generator: it yields each rate at which it needs
+    the exact outage, is sent that outage, and returns the root (or raises
+    as ``achievable_rate_exact`` does). It does not ask for a JD bracket end
+    whose sign ``_jd_certified_ends`` certifies, unless it raises
+    BracketError, whose message prints both ends' outage; as it reads only
+    the signs of the end values, the root keeps its bits."""
     lo, hi = DEFAULT_RATE_BRACKET
     low_ok, high_ok = (_jd_certified_ends(snrs, p_out)
                        if combiner is Combiner.JD else (False, False))
@@ -193,12 +187,12 @@ def _jd_certified_ends(snrs, p_out: float) -> tuple[bool, bool]:
             selection(hi / len(snrs)) >= 2.0 * p_out)
 
 
-def _jd_rate_rows(snrs: np.ndarray, p_out: float) -> np.ndarray:
-    """``achievable_rate_exact`` of JD for each row of an (rows, N) array of
+def _rate_rows(combiner: Combiner, snrs: np.ndarray, p_out: float):
+    """``achievable_rate_exact`` for each row of an (rows, N) array of
     average SNRs, nan where it raises. The roots run in lockstep: a step
-    takes the outage at every rate that they ask for in one call."""
-    outage, rates = _jd_outage_rows(snrs), np.full(len(snrs), math.nan)
-    roots = [_rate_root(Combiner.JD, row, p_out) for row in snrs]
+    takes the outage at every rate they ask for in one ``_outage_rows``."""
+    outage, rates = _outage_rows(combiner, snrs), np.full(len(snrs), math.nan)
+    roots = [_rate_root(combiner, row, p_out) for row in snrs]
     sent = dict.fromkeys(range(len(roots)))  # None starts a root
     while sent:
         wanted = {}
@@ -210,7 +204,7 @@ def _jd_rate_rows(snrs: np.ndarray, p_out: float) -> np.ndarray:
             except (BracketError, ConvergenceError):
                 pass  # the per-point route raises it again
         values = outage(list(wanted), list(wanted.values())).tolist()
-        # A row whose quadrature raised (nan) drops out.
+        # A row whose outage raised (nan) drops out.
         sent = {i: v for i, v in zip(wanted, values) if not math.isnan(v)}
     return rates
 

@@ -411,8 +411,13 @@ def _column_argv(draw):
                      st.floats(0.05, 8.0),
                      st.sampled_from([600.0, 0.0, 1e-9, 1100.0]))))])
     else:
-        argv += (_repeated(draw, "--method", st.sampled_from(
-                     ["asymptotic", "paper-approx"]))
+        # Exact roots only for SC, MRC and SCo: a JD root per example is
+        # too slow here.
+        if "jd" not in argv and "--combiner" in argv:
+            methods = ["asymptotic", "paper-approx", "exact"]
+        else:
+            methods = ["asymptotic", "paper-approx"]
+        argv += (_repeated(draw, "--method", st.sampled_from(methods))
                  + ["--outage", repr(draw(st.one_of(
                      st.floats(1e-12, 0.9),
                      st.sampled_from([1e-3, 1e-5, 0.3]))))])
@@ -447,6 +452,13 @@ class TestColumnsMatchPerPoint:
                           "--method", "bound", "--method", "asymptotic"],
                          ["throughput", "--method", "asymptotic", "--method",
                           "paper-approx", "--snr-db-range", "40:60:7"],
+                         ["outage", "--method", "exact", "--combiner", "sc",
+                          "--combiner", "mrc", "--combiner", "sco",
+                          "--n-links", "2", "--n-links", "3"],
+                         ["throughput", "--method", "exact", "--combiner",
+                          "sc", "--combiner", "mrc", "--combiner", "sco",
+                          "--n-links", "2", "--n-links", "3",
+                          "--snr-db-range", "0:40:5"],
                          ["gain", "--kind", "mco-sco", "--kind", "jd-sc",
                           "--kind", "jd-mrc", "--n-links", "3"]):
                 assert _capture(argv)[0] == 0
@@ -462,9 +474,10 @@ class TestColumnsMatchPerPoint:
 
 
 class TestJdExactColumns:
-    # Exact JD outage and throughput are sweep columns: every cell has the
-    # bits of outage_jd_quadrature or achievable_rate_exact at its point,
-    # and a point that raises takes the per-point route.
+    # Exact outage and throughput are sweep columns: every cell has the
+    # bits of outage_jd_quadrature, outage_exact_closed or
+    # achievable_rate_exact at its point, and a point that raises takes the
+    # per-point route.
     @pytest.mark.parametrize("argv", [
         ["--n-links", "2", "--snr-db-range", "-10:40:11", "--rate", "2.5"],
         ["--n-links", "2", "--distances", "1,1000", "--snr-db-range",
@@ -527,12 +540,16 @@ class TestJdExactColumns:
         def refuse(*args, **kwargs):
             raise AssertionError("per-point call in a clean sweep")
         monkeypatch.setattr(outage_mod, "outage_jd_quadrature", refuse)
+        monkeypatch.setattr(outage_mod, "outage_exact_closed", refuse)
         monkeypatch.setattr(throughput_mod, "achievable_rate_exact", refuse)
+        every = ["--combiner", "jd", "--combiner", "sc", "--combiner", "mrc",
+                 "--combiner", "sco"]
         for argv in (["outage", "--method", "exact", "--n-links", "2",
                       "--n-links", "3", "--n-links", "4",
-                      "--snr-db-range", "0:30:3", "--rate", "2"],
+                      "--snr-db-range", "0:30:3", "--rate", "2"] + every,
                      ["throughput", "--method", "exact", "--n-links", "2",
-                      "--n-links", "3", "--snr-db-range", "10:22:3"]):
+                      "--n-links", "3", "--snr-db-range", "10:22:3"]
+                     + every):
             code, out, err = _capture(argv)
             assert code == 0 and err == "", err
 

@@ -691,8 +691,23 @@ def _sweep_rows(n, count, seed):
                                      count)
 
 
-def _per_row(snrs, rates):
-    return [outage_jd_quadrature(list(row), r).value
+def _closed_rows(n, count, seed):
+    # Seeded rows of closed forms: SNRs 10^U(-3, 7), every fifth row's
+    # links tied and every seventh's 1e-6 apart (MRC's three spacing
+    # kinds), and rates log-uniform in 0.05..12.
+    rng = np.random.default_rng(seed)
+    snrs = 10.0 ** rng.uniform(-3.0, 7.0, (count, n))
+    snrs[::5, 1:] = snrs[::5, :1]
+    snrs[1::7, 1:] = snrs[1::7, :1] * (1.0 + 1e-6 * np.arange(1, n))
+    return snrs, 10.0 ** rng.uniform(math.log10(0.05), math.log10(12.0),
+                                     count)
+
+
+def _per_row(snrs, rates, combiner="jd"):
+    if combiner == "jd":
+        return [outage_jd_quadrature(list(row), r).value
+                for row, r in zip(snrs, rates)]
+    return [outage_exact_closed(combiner, list(row), r).value
             for row, r in zip(snrs, rates)]
 
 
@@ -708,19 +723,30 @@ def _panels_spy(monkeypatch):
 
 
 class TestJdRows:
-    """A block of rows through one ``_nested_integral`` gives each row the
-    bits of its own ``outage_jd_quadrature`` call."""
+    """A block of rows through one ``_outage_rows`` call gives each row the
+    bits of its own ``outage_jd_quadrature`` or ``outage_exact_closed``
+    call: JD rows run through one ``_nested_integral``, SC and SCo rows
+    are one column product, MRC rows run the closed forms."""
 
-    @pytest.mark.parametrize("n,count", [(2, 40), (3, 24), (4, 6)])
-    def test_rows_have_the_bits_of_per_point_calls(self, n, count):
-        snrs, rates = _sweep_rows(n, count, seed=700 + n)
-        rows = outage._jd_outage_rows(snrs)
+    # The JD cases keep the ids they had before the rows served every
+    # combiner.
+    @pytest.mark.parametrize("combiner,n,count", [
+        pytest.param("jd", 2, 40, id="2-40"),
+        pytest.param("jd", 3, 24, id="3-24"),
+        pytest.param("jd", 4, 6, id="4-6")] + [
+        pytest.param(combiner, n, 80, id=f"{combiner}-{n}-80")
+        for combiner in ("sc", "mrc", "sco") for n in (1, 2, 3, 5, 8)])
+    def test_rows_have_the_bits_of_per_point_calls(self, combiner, n,
+                                                   count):
+        make = _sweep_rows if combiner == "jd" else _closed_rows
+        snrs, rates = make(n, count, seed=700 + n)
+        rows = outage._outage_rows(Combiner.parse(combiner), snrs)
         assert _bits(rows(list(range(count)), rates)) == _bits(
-            _per_row(snrs, rates))
+            _per_row(snrs, rates, combiner))
         # A subset of the rows, at one rate.
         subset = list(range(1, count, 3))
         assert _bits(rows(subset, 1.5)) == _bits(
-            _per_row(snrs[subset], [1.5] * len(subset)))
+            _per_row(snrs[subset], [1.5] * len(subset), combiner))
 
     def test_rows_converge_at_their_own_panel_counts(self, monkeypatch):
         # After the 16-node estimate and the first 24-node one, which all
@@ -732,8 +758,8 @@ class TestJdRows:
         rates = np.array([1.0, 2.0, 1.0, 2.0, 4.0])
         expected = _per_row(snrs, rates)
         calls = _panels_spy(monkeypatch)
-        assert _bits(outage._jd_outage_rows(snrs)(range(5), rates)) == (
-            _bits(expected))
+        rows = outage._outage_rows(Combiner.JD, snrs)
+        assert _bits(rows(range(5), rates)) == _bits(expected)
         assert calls[:2] == [(5, 16), (5, 24)]
         assert max(nodes for _, nodes in calls) >= 16 * 24
         assert all(rows <= 2 for rows, nodes in calls if nodes >= 4 * 24)
@@ -743,8 +769,8 @@ class TestJdRows:
     def test_small_blocks_of_outer_nodes(self, monkeypatch, block, n):
         monkeypatch.setattr(outage, "_BLOCK_NODES", block)
         snrs, rates = _sweep_rows(n, 8 if n == 3 else 3, seed=710 + n)
-        assert _bits(outage._jd_outage_rows(snrs)(range(len(rates)),
-                                                  rates)) == _bits(
+        rows = outage._outage_rows(Combiner.JD, snrs)
+        assert _bits(rows(range(len(rates)), rates)) == _bits(
             _per_row(snrs, rates))
 
     @pytest.mark.parametrize("budget", [1, 1 << 20])
@@ -752,22 +778,38 @@ class TestJdRows:
         snrs, rates = _sweep_rows(3, 12, seed=720)
         expected = _per_row(snrs, rates)
         monkeypatch.setattr(outage, "_ROW_NODES", budget)
-        assert _bits(outage._jd_outage_rows(snrs)(range(12), rates)) == (
-            _bits(expected))
+        rows = outage._outage_rows(Combiner.JD, snrs)
+        assert _bits(rows(range(12), rates)) == _bits(expected)
 
-    def test_rows_that_raise_read_nan(self, monkeypatch):
-        # A subnormal SNR (DomainError), a non-finite one, and a row that
-        # needs more panels than _MAX_NODES allows (QuadratureError).
+    @pytest.mark.parametrize("combiner", ["jd", "sc", "mrc", "sco"])
+    def test_rows_that_raise_read_nan(self, monkeypatch, combiner):
+        # A subnormal SNR (DomainError for JD only), non-finite, zero and
+        # negative ones (SCo's second link too), and a row that needs more
+        # panels than _MAX_NODES allows (QuadratureError for JD); every
+        # other row has the per-point bits.
         snrs = np.array([[3.0, 9.0], [1e-310, 9.0], [math.inf, 9.0],
-                         [5e-6, 5.0], [5.0, 7.0]])
+                         [5e-6, 5.0], [5.0, 7.0], [9.0, math.nan],
+                         [0.0, 9.0], [-1.0, 9.0], [9.0, math.inf]])
         monkeypatch.setattr(outage, "_MAX_NODES", 16 * 16)
-        values = outage._jd_outage_rows(snrs)(range(5), 1.0)
-        assert np.isnan(values).tolist() == [False, True, True, True, False]
-        assert values[[0, 4]].tolist() == _per_row(snrs[[0, 4]], [1.0, 1.0])
-        with pytest.raises(QuadratureError):
-            outage_jd_quadrature([5e-6, 5.0], 1.0)
-        wide = outage._jd_outage_rows(np.ones((2, 5)))(range(2), 1.0)
-        assert np.isnan(wide).all()
+        values = outage._outage_rows(Combiner.parse(combiner), snrs)(
+            range(len(snrs)), 1.0)
+        jd = combiner == "jd"
+        assert np.isnan(values).tolist() == [
+            False, jd, True, jd, False, True, True, True, True]
+        for row, value in zip(snrs.tolist(), values.tolist()):
+            if math.isnan(value):
+                with pytest.raises((DomainError, QuadratureError)):
+                    _per_row([row], [1.0], combiner)
+            else:
+                assert _bits([value]) == _bits(_per_row([row], [1.0],
+                                                        combiner))
+        wide = outage._outage_rows(Combiner.parse(combiner), np.ones(
+            (2, 5)))(range(2), 1.0)
+        if jd:
+            assert np.isnan(wide).all()
+        else:
+            assert _bits(wide) == _bits(_per_row(np.ones((2, 5)), [1.0] * 2,
+                                                 combiner))
 
 
 class TestAsymptote:
@@ -885,6 +927,16 @@ class TestExactClosed:
         assert outage._spacing_kind(scaled) == "degenerate"
         assert outage_exact_closed("mrc", scaled, r_c).value == pytest.approx(
             _mrc_mpmath(scaled, coding_constant(1, r_c)), rel=1e-10)
+
+    def test_mrc_distinct_form_past_the_float_range(self):
+        # G_i^(N-1) overflows a float in the distinct form's terms, which
+        # raised OverflowError; the birth chain takes the row instead.
+        snrs, r_c = [1e300, 3e300, 6e300], 1000.0
+        assert outage._spacing_kind(snrs) == "distinct"
+        value = outage_exact_closed("mrc", snrs, r_c).value
+        assert 0.5 < value < 1
+        assert value == pytest.approx(
+            _mrc_mpmath(snrs, coding_constant(1, r_c)), rel=1e-10)
 
     # Subnormal means: the distinct form's terms are inf - inf and the
     # equal form's e^-a * sum a^k/k! is 0 * inf; the birth chain gives 1.

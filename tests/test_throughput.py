@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import bisect, brentq
 
 from multiconn import outage, throughput
+from multiconn.combiners import Combiner
 from multiconn.exceptions import BracketError, ConvergenceError, DomainError
 from multiconn.link_model import Link, Topology
 from multiconn.outage import outage_exact_closed, outage_jd_quadrature
@@ -237,6 +238,33 @@ class TestExactRate:
         with pytest.raises(DomainError):
             achievable_rate_exact("sc", topo, 0.0)
 
+    @pytest.mark.parametrize("combiner", ["jd", "sc", "mrc", "sco"])
+    def test_rate_rows_have_the_bits_of_per_point_roots(self, monkeypatch,
+                                                        combiner):
+        # Seeded rows of 0..40 dB links and the unattainable [1e-9, 1e-9]:
+        # a row reads nan where achievable_rate_exact raises, here
+        # BracketError, and every row with the iteration cap at 1.
+        rng = np.random.default_rng(80)
+        snrs = np.vstack([10.0 ** rng.uniform(0.0, 4.0, (12, 2)),
+                          [[1e-9, 1e-9]]])
+        if combiner != "jd":
+            snrs = np.hstack([snrs, snrs[:, :1] * 2.0])
+        for cap in (throughput._MAX_ROOT_ITERATIONS, 1):
+            monkeypatch.setattr(throughput, "_MAX_ROOT_ITERATIONS", cap)
+            for p_out in (1e-4, 0.05):
+                rates = throughput._rate_rows(Combiner.parse(combiner),
+                                              snrs, p_out)
+                for row, rate in zip(snrs.tolist(), rates.tolist()):
+                    try:
+                        expected = achievable_rate_exact(
+                            combiner, _topology(row), p_out)
+                    except (BracketError, ConvergenceError):
+                        expected = math.nan
+                    assert np.float64(rate).tobytes() == np.float64(
+                        expected).tobytes()
+                assert np.isnan(rates[-1])
+                assert np.isnan(rates).all() == (cap == 1)
+
 
 def _selection(means, share):
     # P_SC at a per-link rate share: prod(1 - e^(-(2^share - 1) / G_i)).
@@ -337,12 +365,12 @@ class TestCertifiedEnds:
         snrs = _certified_rows(n, count, seed=70 + n)
         with monkeypatch.context() as patch:
             totals = _totals_spy(patch)
-            roots = throughput._jd_rate_rows(snrs, 1e-3)
+            roots = throughput._rate_rows(Combiner.JD, snrs, 1e-3)
         assert totals and lo not in totals and hi not in totals
         with monkeypatch.context() as patch:
             _uncertified(patch)
             totals = _totals_spy(patch)
-            expected = throughput._jd_rate_rows(snrs, 1e-3)
+            expected = throughput._rate_rows(Combiner.JD, snrs, 1e-3)
         assert totals.count(lo) == totals.count(hi) == count
         assert roots.tobytes() == expected.tobytes()
 
@@ -365,7 +393,8 @@ class TestCertifiedEnds:
         assert str(raised.value) == (
             "p_out=0.001 is not attainable within rate bracket [1e-06, 64.0] "
             f"(outage range [{low:.3g}, {high:.3g}])")
-        assert np.isnan(throughput._jd_rate_rows(np.array([means]), 1e-3)[0])
+        assert np.isnan(throughput._rate_rows(Combiner.JD, np.array([means]),
+                                              1e-3)[0])
 
 
 class TestWrappers:
